@@ -151,12 +151,17 @@ def _parse_poly(entry: dict, n: int, where: str) -> tuple[AffinePoly, int]:
         raw_terms = entry["terms"]
     except KeyError as exc:
         raise ParseError(f"{where}: missing field {exc}") from None
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: field 'degree' must be an integer") from None
+    if not isinstance(raw_terms, list):
+        raise ParseError(f"{where}: field 'terms' must be a list")
     terms = {}
     for t in raw_terms:
         try:
             coeff = float(Fraction(str(t["coeff"])))
             exps = tuple(int(e) for e in t["exponents"])
-        except (KeyError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError,
+                OverflowError) as exc:
             raise ParseError(f"{where}: bad term ({exc})") from None
         if len(exps) != n:
             raise ParseError(
@@ -169,6 +174,13 @@ def _parse_poly(entry: dict, n: int, where: str) -> tuple[AffinePoly, int]:
     return AffinePoly(n, terms), degree
 
 
+def _list_field(doc: dict, key: str, where: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: field '{key}' must be a list")
+    return value
+
+
 def parse_system(path: str) -> AffineSystem:
     """Read an affine system from a schema 'sah-system/1' document."""
     with open(path) as fh:
@@ -176,20 +188,22 @@ def parse_system(path: str) -> AffineSystem:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("document must be a JSON object")
     if doc.get("schema") != SCHEMA_INPUT:
         raise ParseError(f"schema field must be '{SCHEMA_INPUT}'")
     try:
         n = int(doc["n"])
-    except (KeyError, ValueError):
+    except (KeyError, TypeError, ValueError):
         raise ParseError("field 'n' must be a positive integer") from None
     if n < 1:
         raise ParseError("field 'n' must be a positive integer")
     eqs, ineqs, strict, degrees = [], [], [], []
-    for i, entry in enumerate(doc.get("equalities", [])):
+    for i, entry in enumerate(_list_field(doc, "equalities", "document")):
         p, d = _parse_poly(entry, n, f"equalities[{i}]")
         eqs.append(p)
         degrees.append(d)
-    for i, entry in enumerate(doc.get("inequalities", [])):
+    for i, entry in enumerate(_list_field(doc, "inequalities", "document")):
         p, d = _parse_poly(entry, n, f"inequalities[{i}]")
         ineqs.append(p)
         degrees.append(d)

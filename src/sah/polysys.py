@@ -258,14 +258,6 @@ def weyl_norm(polys) -> float:
 # ---------------------------------------------------------------------------
 # Evaluation and differentiation
 
-def eval_system(sys: HomoSystem, x) -> np.ndarray:
-    """Values of all q+s components at a point of R^{n+1}."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.num_vars,):
-        raise ContractViolation("point arity does not match the system")
-    return np.array([p(x) for p in sys.components])
-
-
 def jacobian(polys, x) -> np.ndarray:
     """Matrix of partial derivatives, one row per polynomial."""
     polys = tuple(polys)
@@ -311,11 +303,6 @@ def homogenize(sys: AffineSystem) -> HomoSystem:
     G = tuple(homogenize_poly(p, d)
               for p, d in zip(sys.G, sys.pattern.inequality_degrees()))
     return HomoSystem(F, G, sys.pattern)
-
-
-def affine_weyl_norm(sys: AffineSystem) -> float:
-    """Norm in the metric pulled back through homogenization (an isometry)."""
-    return weyl_norm(homogenize(sys))
 
 
 def scaled_homogenization(sys: AffineSystem) -> HomoSystem:

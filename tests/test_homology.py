@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sah.errors import ContractViolation
 from sah.homology import (BoundaryMatrix, HomologyGroups, boundary_matrix,
                           homology_of_complex, matrix_rank_and_torsion,
-                          smith_normal_form)
+                          smith_normal_form, unit_pivot_reduction)
 from sah.nerve import SimplicialComplex
 
 
@@ -93,6 +95,12 @@ def test_snf_examples():
     eye = BoundaryMatrix(3, 3, [{0: 1}, {1: 1}, {2: 1}])
     assert smith_normal_form(eye) == [1, 1, 1]
     assert smith_normal_form(BoundaryMatrix(3, 2)) == []
+    # the first pivot (6) moves away to smaller entries and is left behind
+    # in a row no later step touches; it must still be found
+    left_behind = BoundaryMatrix(5, 5, [{1: 1, 2: 2, 3: 3, 4: -1}, {1: 3},
+                                        {2: 3, 3: 1}, {1: 1, 2: 1},
+                                        {0: 2, 4: 1}])
+    assert smith_normal_form(left_behind) == gcd_minors_snf(left_behind.dense())
 
 
 def test_snf_against_gcd_minor_oracle(rng):
@@ -198,3 +206,90 @@ def test_homology_groups_validation():
 def test_empty_complex():
     h = homology_of_complex(SimplicialComplex(0, {}))
     assert h.betti == ()
+
+
+def full_snf_rank_and_torsion(mat: BoundaryMatrix
+                              ) -> tuple[int, tuple[int, ...]]:
+    """Reference: Smith normal form of the whole matrix."""
+    factors = smith_normal_form(mat)
+    return len(factors), tuple(d for d in factors if d > 1)
+
+
+def full_snf_homology(complex_: SimplicialComplex,
+                      max_degree: int) -> HomologyGroups:
+    """Reference: every boundary matrix through the whole-matrix SNF."""
+    last = min(complex_.dimension, max_degree)
+    rank = [full_snf_rank_and_torsion(boundary_matrix(complex_, k))
+            for k in range(last + 2)]
+    betti = tuple(complex_.simplex_count(k) - rank[k][0] - rank[k + 1][0]
+                  for k in range(last + 1))
+    torsion = tuple(rank[k + 1][1] for k in range(last + 1))
+    return HomologyGroups(betti, torsion)
+
+
+def closure(maximal) -> SimplicialComplex:
+    simps: dict[int, set] = {}
+    for top in maximal:
+        for k in range(len(top)):
+            simps.setdefault(k, set()).update(
+                itertools.combinations(top, k + 1))
+    verts = {v for (v,) in simps.get(0, ())}
+    return SimplicialComplex(max(verts, default=-1) + 1,
+                             {k: sorted(v) for k, v in simps.items()})
+
+
+RP2_FACES = rp2_complex().simplices[2]
+
+
+@st.composite
+def small_complexes(draw):
+    """Face-closed complexes on at most 7 vertices, sometimes around RP^2
+    so that torsion occurs."""
+    maximal = draw(st.lists(
+        st.lists(st.integers(0, 6), min_size=1, max_size=5, unique=True)
+        .map(lambda vs: tuple(sorted(vs))), max_size=12))
+    if draw(st.booleans()):
+        maximal += RP2_FACES
+    return closure(maximal)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes(), st.integers(0, 4))
+def test_homology_agrees_with_full_snf(complex_, max_degree):
+    assert complex_.is_closed()
+    assert (homology_of_complex(complex_)
+            == full_snf_homology(complex_, complex_.dimension))
+    if complex_.dimension >= 0:
+        assert (homology_of_complex(complex_, max_degree)
+                == full_snf_homology(complex_, max_degree))
+
+
+@st.composite
+def small_matrices(draw):
+    nr, nc = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -4, 6, 9, -9))
+    dense = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                          min_size=nr, max_size=nr))
+    return BoundaryMatrix(nr, nc, [{j: v for j, v in enumerate(row) if v}
+                                   for row in dense])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+def test_rank_and_torsion_agree_with_full_snf(mat):
+    assert matrix_rank_and_torsion(mat) == full_snf_rank_and_torsion(mat)
+
+
+def test_rp2_leaves_a_residual_block_with_the_torsion():
+    d2 = boundary_matrix(rp2_complex(), 2)
+    pivot_rows, residual = unit_pivot_reduction(d2)
+    assert len(pivot_rows) == 9
+    assert residual.num_cols == 1
+    assert smith_normal_form(residual) == [2]
+    assert matrix_rank_and_torsion(d2) == (10, (2,))
+
+
+def test_gcd_chain_fixup_keeps_unit_factors_first():
+    # the unit factors skip the quadratic loop; the rest is still fixed up
+    assert smith_normal_form(BoundaryMatrix(
+        4, 4, [{0: 1}, {1: 4}, {2: 1}, {3: 6}])) == [1, 1, 2, 12]

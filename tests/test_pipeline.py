@@ -116,6 +116,32 @@ def test_parse_rejects_wrong_schema(tmp_path):
         parse_system(str(p))
 
 
+def _two_points_doc(**equality) -> dict:
+    eq = {"degree": 2, "terms": [{"coeff": "1", "exponents": [2]},
+                                 {"coeff": "-1", "exponents": [0]}]}
+    return {"schema": "sah-system/1", "n": 1,
+            "equalities": [{**eq, **equality}], "inequalities": []}
+
+
+@pytest.mark.parametrize("doc", [
+    [_two_points_doc()],
+    _two_points_doc(terms=[{"coeff": "1e400", "exponents": [2]}]),
+    _two_points_doc(terms=5),
+    _two_points_doc(terms=["1"]),
+    _two_points_doc(degree=[2]),
+    {**_two_points_doc(), "n": [1]},
+    {**_two_points_doc(), "equalities": 5},
+], ids=["top-level-array", "coeff-overflow", "terms-not-a-list",
+        "term-not-an-object", "degree-not-an-integer", "n-not-an-integer",
+        "equalities-not-a-list"])
+def test_cli_malformed_input_is_an_error_not_a_traceback(doc, tmp_path,
+                                                          capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["compute", "--input", str(p)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_emit_result_document_fields():
     res = homology_algorithm(two_points_system(), RunOptions())
     doc = emit_result(res)
