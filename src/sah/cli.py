@@ -13,7 +13,7 @@ import sys as _sys
 
 import numpy as np
 
-from .condition import condition_report
+from .condition import condition_report, kappa_subtuple_max
 from .errors import ContractViolation, ParseError
 from .grid import GridSpec, grid_count, grid_stream
 from .pipeline import (RunOptions, homology_algorithm, parse_system,
@@ -36,8 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--max-dim", type=int, default=None)
     comp.add_argument("--max-iterations", type=int, default=60)
     comp.add_argument("--min-r", type=float, default=2.0 ** -60)
-    comp.add_argument("--threads", type=int, default=1)
-    comp.add_argument("--seed", type=int, default=0)
     comp.add_argument("--output", default=None)
     comp.add_argument("--timing", action="store_true",
                       help="include wall time in the output document")
@@ -58,8 +56,7 @@ def _cmd_compute(args) -> int:
     system = parse_system(args.input)
     opts = RunOptions(mode=args.mode, r_override=args.r,
                       epsilon_override=args.epsilon, max_dim=args.max_dim,
-                      max_iterations=args.max_iterations, min_r=args.min_r,
-                      threads=args.threads, seed=args.seed)
+                      max_iterations=args.max_iterations, min_r=args.min_r)
     result = homology_algorithm(system, opts)
     text = serialize_result(result, include_timing=args.timing)
     if args.output:
@@ -80,8 +77,11 @@ def _cmd_condition(args) -> int:
     hsys = scaled_homogenization(system)
     report = condition_report(hsys.F, x,
                               max_degree=hsys.pattern.max_degree)
+    k_sub, sub = kappa_subtuple_max(hsys, x)
+    doc = {**dataclasses.asdict(report), "kappa_subtuple_max": k_sub,
+           "subtuple": list(sub.indices)}
     doc = {k: ("inf" if isinstance(v, float) and math.isinf(v) else v)
-           for k, v in dataclasses.asdict(report).items()}
+           for k, v in doc.items()}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 

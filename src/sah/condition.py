@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import RANK_RTOL, tangent_basis
+from .linalg import RANK_RTOL
 from .polysys import HomoPoly, HomoSystem, weyl_norm
 
 UNIT_TOL = 1e-12
@@ -56,88 +56,88 @@ def _check_unit(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _scaled_jacobian(polys: tuple[HomoPoly, ...], x: np.ndarray) -> np.ndarray:
-    """Jacobian with each row divided by sqrt of the row's degree."""
-    nv = polys[0].num_vars
-    out = np.empty((len(polys), nv))
-    for i, p in enumerate(polys):
-        s = math.sqrt(p.degree)
-        for j in range(nv):
-            out[i, j] = p.partial(j)(x) / s
-    return out
+def residual_and_sigma_min(polys, norm: float, pts: np.ndarray,
+                           project: bool = True):
+    """Residual ratios and Jacobian singular values at many sphere points.
+
+    For an (N, n+1) array of points returns ||F(x)|| / norm and sigma_q,
+    the q-th singular value of the Jacobian with row i divided by
+    sqrt(deg f_i).  With `project` each row is first projected onto the
+    tangent space x-perp, which has the same nonzero singular values as
+    the restriction of DF(x) to that space.  sigma_q is 0.0 where the
+    matrix is rank-deficient (sigma_q < RANK_RTOL * sigma_1), and sigma is
+    None when q exceeds the dimension the Jacobian acts on (n+1, or n when
+    projected).  `polys` must be nonempty and `norm` its nonzero Weyl norm.
+    """
+    vals = np.column_stack([p.eval_many(pts) for p in polys])
+    resid = np.linalg.norm(vals, axis=1) / norm
+    q = len(polys)
+    if q > pts.shape[1] - project:
+        return resid, None
+    jac = np.stack([p.gradient_many(pts) * (1.0 / math.sqrt(p.degree))
+                    for p in polys], axis=1)
+    if project:
+        jac = jac - np.einsum("nqv,nv->nq", jac, pts)[:, :, None] * pts[:, None, :]
+    svals = np.linalg.svd(jac, compute_uv=False)
+    smax, smin = svals[:, 0], svals[:, q - 1]
+    deficient = (smax == 0.0) | (smin < RANK_RTOL * smax)
+    return resid, np.where(deficient, 0.0, smin)
 
 
-def _sigma_min_or_inf(a: np.ndarray, rank: int) -> float:
-    """Smallest of the first `rank` singular values, or 0.0 when deficient."""
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0 or s[rank - 1] < RANK_RTOL * s[0]:
-        return 0.0
-    return float(s[rank - 1])
+def kappa_batch(polys, norm: float, pts: np.ndarray) -> np.ndarray:
+    """kappa(F, x) for an (N, n+1) array of unit vectors; the one formula.
+
+    Harmonic combination of the inverse projective mu and the normalized
+    residual: 1 / sqrt((sigma_q / ||F||)^2 + resid^2), with sigma_q taken
+    as 0 where the projected Jacobian is rank-deficient.  Reduces to the
+    norm-to-residual ratio in the overdetermined case q > n.  The empty
+    system has kappa 1 by convention, the zero system kappa infinity.
+    """
+    if not polys:
+        return np.ones(len(pts))
+    if norm == 0.0:
+        return np.full(len(pts), math.inf)
+    resid, smin = residual_and_sigma_min(polys, norm, pts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if smin is None:
+            return np.where(resid == 0.0, math.inf, 1.0 / resid)
+        total = (smin / norm) ** 2 + resid * resid
+        return np.where(total == 0.0, math.inf, 1.0 / np.sqrt(total))
+
+
+def _mu(polys, x, project: bool) -> float:
+    polys = tuple(polys)
+    if not polys:
+        raise ContractViolation("mu is undefined for an empty system")
+    x = _check_unit(x)
+    norm = weyl_norm(polys)
+    if norm == 0.0:
+        return math.inf
+    _, smin = residual_and_sigma_min(polys, norm, x[None, :], project)
+    if smin is None or smin[0] == 0.0:
+        return math.inf
+    return norm / float(smin[0])
 
 
 def mu_norm(polys, x) -> float:
     """||F|| times the spectral norm of pinv(DF(x)) with degree row-scaling."""
-    polys = tuple(polys)
-    if not polys:
-        raise ContractViolation("mu is undefined for an empty system")
-    x = _check_unit(x)
-    nv = polys[0].num_vars
-    q = len(polys)
-    norm = weyl_norm(polys)
-    if norm == 0.0 or q > nv:
-        return math.inf
-    sj = _scaled_jacobian(polys, x)
-    smin = _sigma_min_or_inf(sj, q)
-    if smin == 0.0:
-        return math.inf
-    return norm / smin
+    return _mu(polys, x, project=False)
 
 
 def mu_proj(polys, x) -> float:
     """Variant of mu_norm for the restriction of F to the tangent space at x."""
-    polys = tuple(polys)
-    if not polys:
-        raise ContractViolation("mu is undefined for an empty system")
-    x = _check_unit(x)
-    nv = polys[0].num_vars
-    q = len(polys)
-    norm = weyl_norm(polys)
-    if norm == 0.0 or q > nv - 1:
-        return math.inf
-    sj = _scaled_jacobian(polys, x) @ tangent_basis(x)
-    smin = _sigma_min_or_inf(sj, q)
-    if smin == 0.0:
-        return math.inf
-    return norm / smin
+    return _mu(polys, x, project=True)
 
 
 def kappa(polys, x) -> float:
     """Condition number of a homogeneous system at a sphere point.
 
-    Harmonic combination of the inverse projective mu and the normalized
-    residual; reduces to the norm-to-residual ratio in the overdetermined
-    case.  The empty system has kappa 1 by convention, the zero system
-    kappa infinity.
+    A one-point call of `kappa_batch`, which holds the formula and the
+    conventions.
     """
     polys = tuple(polys)
     x = _check_unit(x)
-    if not polys:
-        return 1.0
-    nv = polys[0].num_vars
-    q = len(polys)
-    n = nv - 1
-    norm = weyl_norm(polys)
-    if norm == 0.0:
-        return math.inf
-    resid = float(np.linalg.norm([p(x) for p in polys])) / norm
-    if q > n:
-        return math.inf if resid == 0.0 else 1.0 / resid
-    mp = mu_proj(polys, x)
-    inv_sq = 0.0 if math.isinf(mp) else 1.0 / (mp * mp)
-    total = inv_sq + resid * resid
-    if total == 0.0:
-        return math.inf
-    return 1.0 / math.sqrt(total)
+    return float(kappa_batch(polys, weyl_norm(polys), x[None, :])[0])
 
 
 def subtuples(s: int, max_len: int):
@@ -185,8 +185,8 @@ def condition_report(polys, x, max_degree: int | None = None) -> ConditionReport
     if max_degree is None:
         max_degree = max((p.degree for p in polys), default=1)
     k = kappa(polys, x)
-    norm = weyl_norm(polys) if polys else 0.0
-    resid = (float(np.linalg.norm([p(x) for p in polys])) / norm
+    norm = weyl_norm(polys)
+    resid = (float(residual_and_sigma_min(polys, norm, x[None, :])[0][0])
              if norm > 0.0 else 0.0)
     return ConditionReport(
         kappa=k,
@@ -198,46 +198,14 @@ def condition_report(polys, x, max_degree: int | None = None) -> ConditionReport
     )
 
 
-# ---------------------------------------------------------------------------
-# Vectorized kappa over many sphere points (used by the grid scans)
-
 class SubtupleKernel:
-    """Precompiled data to evaluate kappa(F^L, .) on batches of points."""
+    """kappa(F^L, .) on batches of grid points, with the Weyl norm of F^L
+    computed once per scan."""
 
-    def __init__(self, polys: tuple[HomoPoly, ...], sphere_dim: int):
+    def __init__(self, polys: tuple[HomoPoly, ...]):
         self.polys = polys
-        self.n = sphere_dim
-        self.q = len(polys)
-        self.norm = weyl_norm(polys) if polys else 0.0
-        self.overdetermined = self.q > sphere_dim
-        if polys:
-            self.inv_sqrt_deg = np.array([1.0 / math.sqrt(p.degree) for p in polys])
-            self.partials = [[p.partial(j) for j in range(p.num_vars)] for p in polys]
+        self.norm = weyl_norm(polys)
 
     def kappa_many(self, pts: np.ndarray) -> np.ndarray:
         """kappa(F^L, x) for an (N, n+1) array of unit vectors."""
-        npts = len(pts)
-        if self.q == 0:
-            return np.ones(npts)
-        if self.norm == 0.0:
-            return np.full(npts, math.inf)
-        vals = np.column_stack([p.eval_many(pts) for p in self.polys])
-        resid = np.linalg.norm(vals, axis=1) / self.norm
-        if self.overdetermined:
-            with np.errstate(divide="ignore"):
-                return np.where(resid == 0.0, math.inf, 1.0 / resid)
-        nv = pts.shape[1]
-        jac = np.empty((npts, self.q, nv))
-        for i in range(self.q):
-            for j in range(nv):
-                jac[:, i, j] = self.partials[i][j].eval_many(pts) * self.inv_sqrt_deg[i]
-        # project each row onto the tangent space of its point
-        proj = jac - np.einsum("nqv,nv->nq", jac, pts)[:, :, None] * pts[:, None, :]
-        svals = np.linalg.svd(proj, compute_uv=False)
-        smax, smin = svals[:, 0], svals[:, self.q - 1]
-        deficient = (smax == 0.0) | (smin < RANK_RTOL * smax)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_mu_sq = np.where(deficient, 0.0, (smin / self.norm) ** 2)
-            total = inv_mu_sq + resid * resid
-            out = np.where(total == 0.0, math.inf, 1.0 / np.sqrt(total))
-        return out
+        return kappa_batch(self.polys, self.norm, pts)

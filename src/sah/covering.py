@@ -45,28 +45,14 @@ class CoveringResult:
     audit_hypothesis: float | None = None
 
 
-def approx_member(sys: HomoSystem, r: float, x) -> bool:
-    """Membership in the r-relaxation of the system's solution set.
+def approx_member_mask(sys: HomoSystem, r: float, pts: np.ndarray) -> np.ndarray:
+    """Membership in the r-relaxation over an (N, n+1) array of unit vectors.
 
     Every equality must satisfy |f(x)| < ||f|| r and every inequality
     g(x) > -||g|| r; both comparisons are strict.
     """
     if r <= 0.0:
         raise ContractViolation("relaxation radius must be positive")
-    x = np.asarray(x, dtype=float)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-12:
-        raise ContractViolation("point must lie on the unit sphere")
-    for f in sys.F:
-        if not abs(f(x)) < weyl_norm_poly(f) * r:
-            return False
-    for g in sys.G:
-        if not g(x) > -weyl_norm_poly(g) * r:
-            return False
-    return True
-
-
-def approx_member_mask(sys: HomoSystem, r: float, pts: np.ndarray) -> np.ndarray:
-    """Vectorized membership over an (N, n+1) array of unit vectors."""
     mask = np.ones(len(pts), dtype=bool)
     for f in sys.F:
         mask &= np.abs(f.eval_many(pts)) < weyl_norm_poly(f) * r
@@ -81,7 +67,7 @@ def _kernels(sys: HomoSystem) -> list[tuple[Subtuple, SubtupleKernel]]:
     out = []
     for sub in subtuples(sys.pattern.s, n + 1 - q):
         polys = sys.F + tuple(sys.G[i] for i in sub.indices)
-        out.append((sub, SubtupleKernel(polys, n)))
+        out.append((sub, SubtupleKernel(polys)))
     return out
 
 

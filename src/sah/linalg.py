@@ -10,13 +10,6 @@ import numpy as np
 RANK_RTOL = 1e-10
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of ``a``."""
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
-
-
 def is_surjective(a: np.ndarray) -> bool:
     """True when the rows of ``a`` are numerically independent."""
     m, n = a.shape
@@ -34,25 +27,3 @@ def pseudo_inverse(a: np.ndarray) -> np.ndarray | None:
         return None
     # a @ a.T is invertible for surjective a; this form keeps the kernel exact.
     return a.T @ np.linalg.inv(a @ a.T)
-
-
-def tangent_basis(x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to the unit vector ``x``.
-
-    Returns a matrix of shape (len(x), len(x)-1) whose columns span x-perp.
-    """
-    n = len(x)
-    # Householder reflector mapping e_0 to x; its remaining columns span x-perp.
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    v = x - e0 if x[0] >= 0.0 else x + e0
-    nv = np.linalg.norm(v)
-    if nv < 1e-14:
-        q = np.eye(n)
-    else:
-        v = v / nv
-        q = np.eye(n) - 2.0 * np.outer(v, v)
-    b = q[:, 1:]
-    if x[0] < 0.0:
-        b = -b
-    return b

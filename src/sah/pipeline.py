@@ -39,8 +39,6 @@ class RunOptions:
     max_dim: int | None = None
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     min_r: float = DEFAULT_MIN_R
-    threads: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("certified", "fixed"):
@@ -51,8 +49,6 @@ class RunOptions:
             raise ContractViolation("fixed mode requires both r and epsilon")
         if self.mode == "certified" and (has_r or has_eps):
             raise ContractViolation("certified mode forbids r and epsilon overrides")
-        if self.threads < 1:
-            raise ContractViolation("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,12 @@ def homology_algorithm(sys: AffineSystem, opts: RunOptions) -> RunResult:
 # ---------------------------------------------------------------------------
 # File formats
 
-def _parse_poly(entry: dict, n: int, where: str) -> tuple[AffinePoly, int]:
+# Smallest positive normal float, 2^-1022.
+_NORMAL_MIN = Fraction(1, 2 ** 1022)
+
+
+def _parse_poly(entry: dict, n: int, where: str) -> tuple[list, int]:
+    """Exact (exponents, Fraction coefficient) pairs and the declared degree."""
     if not isinstance(entry, dict):
         raise ParseError(f"{where}: polynomial entry must be an object")
     try:
@@ -155,13 +156,12 @@ def _parse_poly(entry: dict, n: int, where: str) -> tuple[AffinePoly, int]:
         raise ParseError(f"{where}: field 'degree' must be an integer") from None
     if not isinstance(raw_terms, list):
         raise ParseError(f"{where}: field 'terms' must be a list")
-    terms = {}
+    pairs = []
     for t in raw_terms:
         try:
-            coeff = float(Fraction(str(t["coeff"])))
+            coeff = Fraction(str(t["coeff"]))
             exps = tuple(int(e) for e in t["exponents"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError,
-                OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: bad term ({exc})") from None
         if len(exps) != n:
             raise ParseError(
@@ -170,8 +170,40 @@ def _parse_poly(entry: dict, n: int, where: str) -> tuple[AffinePoly, int]:
             raise ParseError(f"{where}: negative exponent")
         if sum(exps) > degree:
             raise ParseError(f"{where}: term degree exceeds declared degree")
-        terms[exps] = terms.get(exps, 0.0) + coeff
-    return AffinePoly(n, terms), degree
+        pairs.append((exps, coeff))
+    return pairs, degree
+
+
+def _common_scale(coeffs: list[Fraction]) -> Fraction:
+    """One power of two by which to multiply every coefficient of a system.
+
+    It is 1 unless some nonzero coefficient lies below the normal float
+    range, where it would round to a subnormal or to 0 (x^2 - 1 scaled by
+    1e-400 would parse as the zero system).  Then it is 2^-e with
+    2^(e-1) < max |c| < 2^(e+1), which puts the largest coefficient in
+    (1/2, 2).  A positive factor on every polynomial keeps the zero set and
+    the sign of every inequality, so the solution set does not change.
+    """
+    mags = [abs(c) for c in coeffs if c]
+    if not mags or min(mags) >= _NORMAL_MIN:
+        return Fraction(1)
+    top = max(mags)
+    return Fraction(2) ** (top.denominator.bit_length()
+                           - top.numerator.bit_length())
+
+
+def _float_poly(pairs: list, n: int, scale: Fraction, where: str) -> AffinePoly:
+    terms = {}
+    for exps, c in pairs:
+        try:
+            value = float(c * scale)
+        except OverflowError as exc:
+            raise ParseError(f"{where}: bad term ({exc})") from None
+        if c and not value:
+            raise ParseError(f"{where}: coefficient {c} is too small against "
+                             "the largest one of the system for a float")
+        terms[exps] = terms.get(exps, 0.0) + value
+    return AffinePoly(n, terms)
 
 
 def _list_field(doc: dict, key: str, where: str) -> list:
@@ -198,17 +230,19 @@ def parse_system(path: str) -> AffineSystem:
         raise ParseError("field 'n' must be a positive integer") from None
     if n < 1:
         raise ParseError("field 'n' must be a positive integer")
-    eqs, ineqs, strict, degrees = [], [], [], []
-    for i, entry in enumerate(_list_field(doc, "equalities", "document")):
-        p, d = _parse_poly(entry, n, f"equalities[{i}]")
-        eqs.append(p)
-        degrees.append(d)
-    for i, entry in enumerate(_list_field(doc, "inequalities", "document")):
-        p, d = _parse_poly(entry, n, f"inequalities[{i}]")
-        ineqs.append(p)
-        degrees.append(d)
-        strict.append(bool(entry.get("strict", False)))
-    q, s = len(eqs), len(ineqs)
+    raw, strict, degrees = [], [], []
+    for key in ("equalities", "inequalities"):
+        for i, entry in enumerate(_list_field(doc, key, "document")):
+            pairs, d = _parse_poly(entry, n, f"{key}[{i}]")
+            raw.append((f"{key}[{i}]", pairs))
+            degrees.append(d)
+            if key == "inequalities":
+                strict.append(bool(entry.get("strict", False)))
+    scale = _common_scale([c for _, pairs in raw for _, c in pairs])
+    polys = [_float_poly(pairs, n, scale, where) for where, pairs in raw]
+    s = len(strict)
+    q = len(polys) - s
+    eqs, ineqs = polys[:q], polys[q:]
     if q > n:
         raise ParseError(
             f"q = {q} equalities exceed n = {n}; the algorithm requires q <= n")

@@ -1,6 +1,8 @@
 """Sparse homogeneous and affine polynomial systems in the Weyl metric.
 
 Polynomials are stored as maps from exponent vectors to float coefficients.
+One core, `Poly`, evaluates, differentiates and substitutes them; the
+homogeneous and affine variants and `shubsmale.PolyMap` are built on it.
 The Weyl inner product weights each monomial by the inverse of its
 multinomial coefficient, which makes the induced norm invariant under
 orthogonal changes of the variables.
@@ -8,10 +10,9 @@ orthogonal changes of the variables.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,23 +79,24 @@ def _clean_terms(terms: Terms, num_vars: int, degree: int | None,
     return {e: c for e, c in out.items() if c != 0.0}
 
 
-@dataclass(frozen=True)
-class HomoPoly:
-    """A homogeneous polynomial in variables X_0..X_{num_vars-1}."""
+class Poly:
+    """Core of every sparse polynomial: evaluation, derivatives, substitution.
 
-    num_vars: int
-    degree: int
-    terms: Terms
+    Variants are frozen dataclasses with fields `num_vars` and `terms`; their
+    `__post_init__` calls `_compile` once, which cleans the terms and freezes
+    the exponent matrix (rows in sorted order) and the coefficient vector
+    that `eval_many` contracts.  `_lowered` builds a derivative of the same
+    variant.
+    """
 
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ContractViolation("degree must be >= 0")
-        object.__setattr__(self, "terms",
-                           _clean_terms(self.terms, self.num_vars, self.degree, True))
-        exps = np.array(sorted(self.terms), dtype=np.int64).reshape(-1, self.num_vars)
-        coeffs = np.array([self.terms[tuple(e)] for e in exps], dtype=float)
-        object.__setattr__(self, "_exps", exps)
-        object.__setattr__(self, "_coeffs", coeffs)
+    def _compile(self, degree: int | None, homogeneous: bool) -> None:
+        terms = _clean_terms(self.terms, self.num_vars, degree, homogeneous)
+        keys = sorted(terms)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_exps", np.array(keys, dtype=np.int64)
+                           .reshape(-1, self.num_vars))
+        object.__setattr__(self, "_coeffs",
+                           np.array([terms[k] for k in keys], dtype=float))
 
     def __call__(self, x) -> float:
         return float(self.eval_many(np.asarray(x, dtype=float)[None, :])[0])
@@ -109,25 +111,71 @@ class HomoPoly:
         mono = np.prod(pts[:, None, :] ** self._exps[None, :, :], axis=2)
         return mono @ self._coeffs
 
-    def partial(self, j: int) -> "HomoPoly":
-        """Partial derivative with respect to X_j."""
+    def partial(self, j: int) -> "Poly":
+        """Partial derivative with respect to variable j."""
         terms: Terms = {}
         for exps, c in self.terms.items():
             a = exps[j]
-            if a == 0:
-                continue
-            e2 = list(exps)
-            e2[j] = a - 1
-            key = tuple(e2)
-            terms[key] = terms.get(key, 0.0) + a * c
+            if a:
+                key = exps[:j] + (a - 1,) + exps[j + 1:]
+                terms[key] = terms.get(key, 0.0) + a * c
+        return self._lowered(terms)
+
+    @cached_property
+    def partials(self) -> tuple["Poly", ...]:
+        """The partial derivatives in every variable, built once."""
+        return tuple(self.partial(j) for j in range(self.num_vars))
+
+    def gradient_many(self, pts: np.ndarray) -> np.ndarray:
+        """Gradients at an (N, num_vars) array of points, shape (N, num_vars)."""
+        return np.column_stack([d.eval_many(pts) for d in self.partials])
+
+    def substitute(self, subs: list[Terms], num_vars: int) -> Terms:
+        """Terms of y -> self(s_0(y), ..., s_{k-1}(y)), expanded exactly.
+
+        Each s_j is a sparse polynomial in `num_vars` variables.  Exponential
+        in the degree; meant for linear and affine changes of variables.
+        """
+        acc: Terms = {}
+        for exps, c in self.terms.items():
+            prod: Terms = {(0,) * num_vars: 1.0}
+            for j, a in enumerate(exps):
+                for _ in range(a):
+                    nxt: Terms = {}
+                    for e1, c1 in prod.items():
+                        for e2, c2 in subs[j].items():
+                            key = tuple(u + v for u, v in zip(e1, e2))
+                            nxt[key] = nxt.get(key, 0.0) + c1 * c2
+                    prod = nxt
+            for key, val in prod.items():
+                acc[key] = acc.get(key, 0.0) + c * val
+        return acc
+
+
+@dataclass(frozen=True)
+class HomoPoly(Poly):
+    """A homogeneous polynomial in variables X_0..X_{num_vars-1}."""
+
+    num_vars: int
+    degree: int
+    terms: Terms
+
+    def __post_init__(self):
+        if self.degree < 0:
+            raise ContractViolation("degree must be >= 0")
+        self._compile(self.degree, homogeneous=True)
+
+    def _lowered(self, terms: Terms) -> "HomoPoly":
         return HomoPoly(self.num_vars, max(self.degree - 1, 0), terms)
+
+    @cached_property
+    def weyl_sq(self) -> float:
+        """Squared Weyl norm, computed once."""
+        return weyl_inner(self, self)
 
     def scale(self, lam: float) -> "HomoPoly":
         return HomoPoly(self.num_vars, self.degree,
                         {e: lam * c for e, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 @dataclass(frozen=True)
@@ -169,26 +217,21 @@ class HomoSystem:
 
 
 @dataclass(frozen=True)
-class AffinePoly:
+class AffinePoly(Poly):
     """A sparse polynomial in n affine variables, degree bounded by a pattern."""
 
     num_vars: int
     terms: Terms
 
     def __post_init__(self):
-        object.__setattr__(self, "terms",
-                           _clean_terms(self.terms, self.num_vars, None, False))
+        self._compile(None, homogeneous=False)
+
+    def _lowered(self, terms: Terms) -> "AffinePoly":
+        return AffinePoly(self.num_vars, terms)
 
     @property
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        total = 0.0
-        for exps, c in self.terms.items():
-            total += c * float(np.prod(x ** np.array(exps)))
-        return total
 
 
 @dataclass(frozen=True)
@@ -245,33 +288,14 @@ def weyl_inner(h: HomoPoly, h2: HomoPoly) -> float:
 
 
 def weyl_norm_poly(h: HomoPoly) -> float:
-    return math.sqrt(max(weyl_inner(h, h), 0.0))
+    return math.sqrt(max(h.weyl_sq, 0.0))
 
 
 def weyl_norm(polys) -> float:
     """Norm of a tuple of homogeneous polynomials (or of a HomoSystem)."""
     if isinstance(polys, HomoSystem):
         polys = polys.components
-    return math.sqrt(sum(weyl_inner(h, h) for h in polys))
-
-
-# ---------------------------------------------------------------------------
-# Evaluation and differentiation
-
-def jacobian(polys, x) -> np.ndarray:
-    """Matrix of partial derivatives, one row per polynomial."""
-    polys = tuple(polys)
-    x = np.asarray(x, dtype=float)
-    if not polys:
-        return np.zeros((0, len(x)))
-    nv = polys[0].num_vars
-    if x.shape != (nv,):
-        raise ContractViolation("point arity does not match the polynomials")
-    out = np.empty((len(polys), nv))
-    for i, p in enumerate(polys):
-        for j in range(nv):
-            out[i, j] = p.partial(j)(x)
-    return out
+    return math.sqrt(sum(h.weyl_sq for h in polys))
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +349,6 @@ def scaled_homogenization(sys: AffineSystem) -> HomoSystem:
 # ---------------------------------------------------------------------------
 # Orthogonal variable changes
 
-def _poly_mul(p: Terms, q: Terms) -> Terms:
-    out: Terms = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return out
-
-
 def compose_rotation(h: HomoPoly, u: np.ndarray) -> HomoPoly:
     """Exact symbolic expansion of x -> h(u @ x) for an orthogonal matrix u.
 
@@ -345,39 +360,11 @@ def compose_rotation(h: HomoPoly, u: np.ndarray) -> HomoPoly:
         raise ContractViolation("rotation matrix arity does not match the polynomial")
     if np.max(np.abs(u.T @ u - np.eye(nv))) > ORTHOGONALITY_TOL:
         raise ContractViolation("matrix is not orthogonal within tolerance")
-    unit = {(0,) * nv: 1.0}
-    linear_forms = []
-    for i in range(nv):
-        lf: Terms = {}
-        for j in range(nv):
-            if u[i, j] != 0.0:
-                e = [0] * nv
-                e[j] = 1
-                lf[tuple(e)] = float(u[i, j])
-        linear_forms.append(lf)
-    acc: Terms = {}
-    for exps, c in h.terms.items():
-        prod = dict(unit)
-        for i, a in enumerate(exps):
-            for _ in range(a):
-                prod = _poly_mul(prod, linear_forms[i])
-        for key, val in prod.items():
-            acc[key] = acc.get(key, 0.0) + c * val
-    return HomoPoly(nv, h.degree, acc)
+    linear_forms = [{tuple(int(k == j) for k in range(nv)): float(u[i, j])
+                     for j in range(nv) if u[i, j] != 0.0}
+                    for i in range(nv)]
+    return HomoPoly(nv, h.degree, h.substitute(linear_forms, nv))
 
 
 def compose_rotation_system(polys, u: np.ndarray):
     return tuple(compose_rotation(p, u) for p in polys)
-
-
-# ---------------------------------------------------------------------------
-# Construction helpers
-
-def poly_from_string_terms(num_vars: int, degree: int,
-                           entries: list[tuple[str, list[int]]]) -> HomoPoly:
-    """Build a homogeneous polynomial from (decimal-string, exponents) pairs."""
-    terms: Terms = {}
-    for coeff, exps in entries:
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0.0) + float(Fraction(coeff))
-    return HomoPoly(num_vars, degree, terms)

@@ -11,21 +11,17 @@ under-estimate is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, RankDeficient
 from .linalg import pseudo_inverse
-from .polysys import HomoPoly, Terms
+from .polysys import AffinePoly, Terms
 
 # Threshold on alpha under which the continuous Newton flow is guaranteed to
 # exist for all time and contract exponentially.
 ALPHA_FLOW_THRESHOLD = 1.0 / 13.0
-
-# Classical threshold certifying approximate zeros for the discrete
-# iteration; recorded for reference, never consumed by the pipeline.
-ALPHA_APPROX_ZERO = 0.125
 
 DEFAULT_SWEEP = 720
 DEFAULT_FLOW_STEP = 1e-3
@@ -34,23 +30,16 @@ DEFAULT_FLOW_STEP = 1e-3
 class PolyMap:
     """A polynomial map R^m_in -> R^m_out with derivative-tensor access.
 
-    Components are sparse exponent maps (not necessarily homogeneous).
-    Directional derivative tensors are obtained exactly from the expansion
-    of t -> F(x + t*u).
+    Components are `AffinePoly`s (not necessarily homogeneous) built from
+    sparse exponent maps.  Directional derivative tensors are obtained
+    exactly from the expansion of t -> F(x + t*u).
     """
 
     def __init__(self, num_vars: int, components: list[Terms]):
         self.num_vars = int(num_vars)
-        self.components = [
-            {tuple(int(v) for v in e): float(c) for e, c in comp.items() if float(c) != 0.0}
-            for comp in components
-        ]
-        self.num_out = len(self.components)
-        self.degree = max((sum(e) for comp in self.components for e in comp), default=0)
-        self._partials = [
-            [self._partial(comp, j) for j in range(self.num_vars)]
-            for comp in self.components
-        ]
+        self.polys = tuple(AffinePoly(self.num_vars, comp) for comp in components)
+        self.num_out = len(self.polys)
+        self.degree = max((p.degree for p in self.polys), default=0)
 
     @classmethod
     def from_homogeneous(cls, polys) -> "PolyMap":
@@ -59,38 +48,20 @@ class PolyMap:
             raise ContractViolation("a polynomial map needs at least one component")
         return cls(polys[0].num_vars, [dict(p.terms) for p in polys])
 
-    @staticmethod
-    def _partial(comp: Terms, j: int) -> Terms:
-        out: Terms = {}
-        for exps, c in comp.items():
-            a = exps[j]
-            if a:
-                e2 = list(exps)
-                e2[j] = a - 1
-                key = tuple(e2)
-                out[key] = out.get(key, 0.0) + a * c
-        return out
-
-    @staticmethod
-    def _eval_terms(comp: Terms, x: np.ndarray) -> float:
-        total = 0.0
-        for exps, c in comp.items():
-            total += c * float(np.prod(x ** np.array(exps)))
-        return total
-
-    def eval(self, x) -> np.ndarray:
+    def _point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.num_vars,):
             raise ContractViolation("point arity does not match the map")
-        return np.array([self._eval_terms(c, x) for c in self.components])
+        return x[None, :]
+
+    def eval(self, x) -> np.ndarray:
+        pt = self._point(x)
+        return np.array([p.eval_many(pt)[0] for p in self.polys])
 
     def jacobian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.empty((self.num_out, self.num_vars))
-        for i in range(self.num_out):
-            for j in range(self.num_vars):
-                out[i, j] = self._eval_terms(self._partials[i][j], x)
-        return out
+        pt = self._point(x)
+        return np.array([p.gradient_many(pt)[0] for p in self.polys]
+                        ).reshape(self.num_out, self.num_vars)
 
     def taylor_directional(self, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         """Coefficients of t^k in F(x + t*u) for a batch of directions.
@@ -102,8 +73,8 @@ class PolyMap:
         ndirs = len(dirs)
         deg = self.degree
         out = np.zeros((ndirs, deg + 1, self.num_out))
-        for i, comp in enumerate(self.components):
-            for exps, c in comp.items():
+        for i, comp in enumerate(self.polys):
+            for exps, c in comp.terms.items():
                 # batched product of the univariate expansions (x_j + t u_j)^a_j
                 poly = np.zeros((ndirs, deg + 1))
                 poly[:, 0] = c
@@ -134,32 +105,9 @@ class PolyMap:
                 terms[(0,) * m] = origin[j]
             for k in range(m):
                 if basis[j, k] != 0.0:
-                    e = [0] * m
-                    e[k] = 1
-                    terms[tuple(e)] = terms.get(tuple(e), 0.0) + basis[j, k]
+                    terms[tuple(int(i == k) for i in range(m))] = basis[j, k]
             subs.append(terms)
-        unit = {(0,) * m: 1.0}
-
-        def mul(p: Terms, q: Terms) -> Terms:
-            r: Terms = {}
-            for e1, c1 in p.items():
-                for e2, c2 in q.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    r[key] = r.get(key, 0.0) + c1 * c2
-            return r
-
-        comps = []
-        for comp in self.components:
-            acc: Terms = {}
-            for exps, c in comp.items():
-                prod = dict(unit)
-                for j, a in enumerate(exps):
-                    for _ in range(a):
-                        prod = mul(prod, subs[j])
-                for key, val in prod.items():
-                    acc[key] = acc.get(key, 0.0) + c * val
-            comps.append(acc)
-        return PolyMap(m, comps)
+        return PolyMap(m, [p.substitute(subs, m) for p in self.polys])
 
 
 def _unit_directions(dim: int, sweep: int, rng: np.random.Generator | None) -> np.ndarray:

@@ -260,7 +260,7 @@ def test_criterion_11_grid_properties(report):
 
 def test_criterion_12_determinism(report):
     sys_ = parse_system(fixture_path("two_points.json"))
-    opts = RunOptions(seed=7, threads=1)
+    opts = RunOptions()
     a = serialize_result(homology_algorithm(sys_, opts))
     b = serialize_result(homology_algorithm(sys_, opts))
     ok = a == b and json.loads(a)["betti"] == [2, 0]

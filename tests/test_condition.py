@@ -8,6 +8,7 @@ from sah.condition import (ConditionReport, Subtuple, SubtupleKernel,
                            condition_report, kappa, kappa_subtuple_max,
                            mu_norm, mu_proj, reach_lower_bound, subtuples)
 from sah.errors import ContractViolation
+from sah.linalg import RANK_RTOL
 from sah.polysys import (DegreePattern, HomoPoly, HomoSystem,
                          compose_rotation_system, weyl_norm)
 
@@ -150,21 +151,89 @@ def test_condition_report_fields():
     assert rep.dist_to_illposed_lower == pytest.approx(1.0)
 
 
+def tangent_basis(x: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of x-perp: the last columns of the Householder
+    reflector that maps e_0 to x."""
+    e0 = np.zeros(len(x))
+    e0[0] = 1.0
+    v = x - e0 if x[0] >= 0.0 else x + e0
+    if np.linalg.norm(v) < 1e-14:
+        return np.eye(len(x))[:, 1:]
+    v /= np.linalg.norm(v)
+    b = (np.eye(len(x)) - 2.0 * np.outer(v, v))[:, 1:]
+    return -b if x[0] < 0.0 else b
+
+
+def reference_sigma(polys, x, project: bool) -> float:
+    """sigma_q of the degree-scaled Jacobian, restricted to x-perp through
+    an explicit basis when `project`; 0.0 when rank-deficient."""
+    jac = np.array([[p.partial(j)(x) / math.sqrt(p.degree)
+                     for j in range(len(x))] for p in polys])
+    if project:
+        jac = jac @ tangent_basis(x)
+    s = np.linalg.svd(jac, compute_uv=False)
+    q = len(polys)
+    return 0.0 if s[0] == 0.0 or s[q - 1] < RANK_RTOL * s[0] else float(s[q - 1])
+
+
+def reference_kappa(polys, x) -> float:
+    norm = weyl_norm(polys)
+    resid = float(np.linalg.norm([p(x) for p in polys])) / norm
+    if len(polys) > len(x) - 1:
+        return math.inf if resid == 0.0 else 1.0 / resid
+    total = (reference_sigma(polys, x, True) / norm) ** 2 + resid ** 2
+    return math.inf if total == 0.0 else 1.0 / math.sqrt(total)
+
+
+def reference_mu(polys, x, project: bool) -> float:
+    if len(polys) > len(x) - project:
+        return math.inf
+    smin = reference_sigma(polys, x, project)
+    return math.inf if smin == 0.0 else weyl_norm(polys) / smin
+
+
 def test_kernel_matches_scalar_kappa(rng):
+    # both the batched kernel and the one-point scalar calls against the
+    # Householder-basis reference, for q = 1, 2 on S^2
     for q in (1, 2):
         polys = tuple(random_homo_poly(rng, 3, 2) for _ in range(q))
-        kern = SubtupleKernel(polys, 2)
+        kern = SubtupleKernel(polys)
         pts = np.array([random_unit(rng, 3) for _ in range(40)])
         vals = kern.kappa_many(pts)
-        for i in range(len(pts)):
-            assert vals[i] == pytest.approx(kappa(polys, pts[i]), rel=1e-9)
+        for i, x in enumerate(pts):
+            want = reference_kappa(polys, x)
+            assert vals[i] == pytest.approx(want, rel=1e-9)
+            assert kappa(polys, x) == pytest.approx(want, rel=1e-9)
+            assert mu_proj(polys, x) == pytest.approx(
+                reference_mu(polys, x, True), rel=1e-9)
+            assert mu_norm(polys, x) == pytest.approx(
+                reference_mu(polys, x, False), rel=1e-9)
 
 
 def test_kernel_overdetermined_and_empty(rng):
     pts = np.array([random_unit(rng, 2) for _ in range(10)])
-    assert np.all(SubtupleKernel((), 1).kappa_many(pts) == 1.0)
+    assert np.all(SubtupleKernel(()).kappa_many(pts) == 1.0)
     polys = tuple(random_homo_poly(rng, 2, 2) for _ in range(3))
-    kern = SubtupleKernel(polys, 1)
+    kern = SubtupleKernel(polys)
     vals = kern.kappa_many(pts)
-    for i in range(len(pts)):
-        assert vals[i] == pytest.approx(kappa(polys, pts[i]), rel=1e-9)
+    for i, x in enumerate(pts):
+        assert vals[i] == pytest.approx(reference_kappa(polys, x), rel=1e-9)
+        assert kappa(polys, x) == pytest.approx(vals[i], rel=1e-9)
+        assert math.isinf(mu_proj(polys, x)) and math.isinf(mu_norm(polys, x))
+
+
+def test_rank_deficient_point_matches_reference():
+    # criterion 5: the tangent restriction loses rank, the full Jacobian not
+    f1 = HomoPoly(3, 1, {(1, 0, 0): 1.0, (0, 1, 0): 1.0})
+    f2 = HomoPoly(3, 2, {(0, 2, 0): 1.0, (0, 0, 2): 1.0, (1, 1, 0): 1.0})
+    polys = (f1, f2)
+    x = np.array([1.0, 0.0, 0.0])
+    assert reference_sigma(polys, x, True) == 0.0
+    assert math.isinf(reference_mu(polys, x, True))
+    assert math.isinf(mu_proj(polys, x))
+    assert mu_norm(polys, x) == pytest.approx(reference_mu(polys, x, False),
+                                              rel=1e-12)
+    want = reference_kappa(polys, x)
+    assert kappa(polys, x) == pytest.approx(want, rel=1e-12)
+    assert SubtupleKernel(polys).kappa_many(x[None, :])[0] == pytest.approx(
+        want, rel=1e-12)

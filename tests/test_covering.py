@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import two_points_system
-from sah.covering import (approx_member, approx_member_mask, ball_radius,
-                          certificate_holds, covering, covering_fixed,
-                          k_star_over_grid)
+from sah.covering import (approx_member_mask, ball_radius, certificate_holds,
+                          covering, covering_fixed, k_star_over_grid)
 from sah.errors import ContractViolation
 from sah.grid import GridSpec, grid_points
 from sah.polysys import (DegreePattern, HomoPoly, HomoSystem,
-                         scaled_homogenization)
+                         scaled_homogenization, weyl_norm_poly)
 
 
 def linear_system() -> HomoSystem:
@@ -19,38 +18,47 @@ def linear_system() -> HomoSystem:
                       DegreePattern((1,), 1, 0))
 
 
+def _member(sys_, r, x) -> bool:
+    return bool(approx_member_mask(sys_, r, np.asarray(x, dtype=float)[None, :])[0])
+
+
 def test_approx_member_strict_comparisons():
     sys_ = linear_system()
     x = np.array([1.0, 0.0])
-    assert approx_member(sys_, 0.5, x)
+    assert _member(sys_, 0.5, x)
     # |f(x)| = 0.5 = ||f|| * r exactly: strict comparison fails
     y = np.array([math.sqrt(0.75), 0.5])
-    assert not approx_member(sys_, 0.5, y)
-    assert approx_member(sys_, 0.5 + 1e-12, y)
+    assert not _member(sys_, 0.5, y)
+    assert _member(sys_, 0.5 + 1e-12, y)
 
 
 def test_approx_member_inequality():
     g = HomoPoly(2, 1, {(1, 0): 1.0})
     sys_ = HomoSystem((), (g,), DegreePattern((1,), 0, 1))
-    assert approx_member(sys_, 0.5, np.array([0.0, 1.0]))
-    assert not approx_member(sys_, 0.5, np.array([-1.0, 0.0]))
+    assert _member(sys_, 0.5, np.array([0.0, 1.0]))
+    assert not _member(sys_, 0.5, np.array([-1.0, 0.0]))
 
 
 def test_approx_member_validation():
     sys_ = linear_system()
-    with pytest.raises(ContractViolation):
-        approx_member(sys_, 0.0, np.array([1.0, 0.0]))
-    with pytest.raises(ContractViolation):
-        approx_member(sys_, 0.5, np.array([2.0, 0.0]))
+    for r in (0.0, -0.5):
+        with pytest.raises(ContractViolation):
+            approx_member_mask(sys_, r, np.array([[1.0, 0.0]]))
 
 
 def test_mask_matches_scalar(rng):
-    sys_ = linear_system()
+    # reference: the two strict comparisons, one point and one polynomial
+    # at a time
+    g = HomoPoly(2, 2, {(2, 0): 1.0, (1, 1): -0.5, (0, 2): -1.0})
+    sys_ = HomoSystem(linear_system().F, (g,), DegreePattern((1, 2), 1, 1))
     pts = rng.standard_normal((50, 2))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     mask = approx_member_mask(sys_, 0.3, pts)
-    for i in range(len(pts)):
-        assert mask[i] == approx_member(sys_, 0.3, pts[i])
+    for i, x in enumerate(pts):
+        want = (all(abs(f(x)) < weyl_norm_poly(f) * 0.3 for f in sys_.F)
+                and all(h(x) > -weyl_norm_poly(h) * 0.3 for h in sys_.G))
+        assert mask[i] == want
+    assert 0 < mask.sum() < len(pts)
 
 
 def test_k_star_over_grid_linear():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,11 +9,13 @@ import pytest
 
 from conftest import disk_system, fixture_path, two_points_system
 from sah.cli import main as cli_main
+from sah.condition import kappa_subtuple_max
 from sah.errors import ContractViolation, ParseError
 from sah.pipeline import (RunOptions, emit_result, homology_algorithm,
                           normalize_strictness, parse_system,
                           serialize_result, system_to_document)
-from sah.polysys import AffinePoly, AffineSystem, DegreePattern
+from sah.polysys import (AffinePoly, AffineSystem, DegreePattern,
+                         scaled_homogenization)
 
 
 def test_run_options_validation():
@@ -24,8 +27,6 @@ def test_run_options_validation():
         RunOptions(mode="certified", r_override=0.25)
     with pytest.raises(ContractViolation):
         RunOptions(mode="nonsense")
-    with pytest.raises(ContractViolation):
-        RunOptions(threads=0)
 
 
 def test_normalize_strictness():
@@ -200,3 +201,64 @@ def test_cli_condition(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["kappa"] >= 1.0
     assert doc["residual_ratio"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_parse_decimal_and_fraction_coefficients(tmp_path):
+    doc = {"schema": "sah-system/1", "n": 2, "equalities": [],
+           "inequalities": [{"degree": 2, "terms": [
+               {"coeff": "0.5", "exponents": [2, 0]},
+               {"coeff": "-1/4", "exponents": [0, 2]}]}]}
+    p = tmp_path / "fractions.json"
+    p.write_text(json.dumps(doc))
+    assert parse_system(str(p)).G[0].terms == {(2, 0): 0.5, (0, 2): -0.25}
+
+
+def test_cli_tiny_coefficients_are_rescaled_not_lost(tmp_path):
+    # x^2 - 1 scaled by 1e-400: every coefficient underflows a float, but
+    # one power-of-two factor for the whole system keeps the zero set
+    doc = _two_points_doc(terms=[{"coeff": "1e-400", "exponents": [2]},
+                                 {"coeff": "-1e-400", "exponents": [0]}])
+    p = tmp_path / "tiny.json"
+    p.write_text(json.dumps(doc))
+    (poly,) = parse_system(str(p)).F
+    assert poly.terms[(2,)] == -poly.terms[(0,)] > 0.5
+    out, ref = tmp_path / "tiny_res.json", tmp_path / "ref_res.json"
+    assert cli_main(["compute", "--input", str(p), "--output", str(out)]) == 0
+    assert cli_main(["compute", "--input", fixture_path("two_points.json"),
+                     "--output", str(ref)]) == 0
+    got, want = json.loads(out.read_text()), json.loads(ref.read_text())
+    assert got["certified"] is True
+    assert got["betti"] == [2, 0]
+    assert got["iterations"] == want["iterations"]
+
+
+def test_parse_normal_coefficients_are_not_rescaled(tmp_path):
+    doc = _two_points_doc(terms=[{"coeff": "3e-300", "exponents": [2]},
+                                 {"coeff": "-1/3", "exponents": [0]}])
+    p = tmp_path / "normal.json"
+    p.write_text(json.dumps(doc))
+    assert parse_system(str(p)).F[0].terms == {(2,): 3e-300, (0,): -1 / 3}
+
+
+def test_parse_rejects_a_coefficient_range_wider_than_floats(tmp_path):
+    doc = _two_points_doc(terms=[{"coeff": "1", "exponents": [2]},
+                                 {"coeff": "-1e-400", "exponents": [0]}])
+    p = tmp_path / "range.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=r"equalities\[0\]"):
+        parse_system(str(p))
+
+
+def test_cli_condition_reports_the_subtuple_maximum(capsys):
+    # the annulus has no equalities, so kappa of F alone is 1 everywhere;
+    # the covering certifies with the maximum over inequality subtuples
+    assert cli_main(["condition", "--input", fixture_path("annulus.json"),
+                     "--point", "1,1,0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kappa"] == 1.0
+    assert doc["mu_norm"] == "inf"
+    sys_ = scaled_homogenization(parse_system(fixture_path("annulus.json")))
+    want, sub = kappa_subtuple_max(sys_, np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
+    assert doc["kappa_subtuple_max"] == want
+    assert doc["subtuple"] == list(sub.indices)
+    assert 1.0 < doc["kappa_subtuple_max"] < math.inf

@@ -7,8 +7,7 @@ from conftest import random_homo_poly, random_unit, two_points_system
 from sah.errors import ContractViolation
 from sah.polysys import (AffinePoly, AffineSystem, DegreePattern, HomoPoly,
                          compose_rotation, dehomogenize_poly, homogenize,
-                         homogenize_poly, jacobian, multinomial,
-                         poly_from_string_terms, scaled_homogenization,
+                         homogenize_poly, multinomial, scaled_homogenization,
                          system_size, weyl_inner, weyl_norm, weyl_norm_poly)
 
 
@@ -91,12 +90,13 @@ def test_partial_matches_finite_differences(rng):
 
 def test_jacobian_shape_and_values(rng):
     polys = (random_homo_poly(rng, 3, 2), random_homo_poly(rng, 3, 3))
-    x = rng.standard_normal(3)
-    jac = jacobian(polys, x)
-    assert jac.shape == (2, 3)
-    for i, p in enumerate(polys):
-        for j in range(3):
-            assert jac[i, j] == pytest.approx(p.partial(j)(x))
+    pts = rng.standard_normal((4, 3))
+    for p in polys:
+        grad = p.gradient_many(pts)
+        assert grad.shape == (4, 3)
+        for n, x in enumerate(pts):
+            for j in range(3):
+                assert grad[n, j] == pytest.approx(p.partial(j)(x), rel=1e-12)
 
 
 def test_euler_identity_for_homogeneous(rng):
@@ -152,8 +152,3 @@ def test_scaled_homogenization_rejects_zero_system():
     sys_ = AffineSystem(1, (z,), (), (), DegreePattern((1,), 1, 0))
     with pytest.raises(ContractViolation):
         scaled_homogenization(sys_)
-
-
-def test_poly_from_string_terms():
-    h = poly_from_string_terms(2, 2, [("0.5", [2, 0]), ("-1/4", [0, 2])])
-    assert h.terms == {(2, 0): 0.5, (0, 2): -0.25}
