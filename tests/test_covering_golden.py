@@ -3,8 +3,10 @@
 `fixtures/covering_golden.json` pins, for each fixed-radius fixture, the
 exact k*, audit value, grid size, witness and a SHA-256 of the member
 points, plus the full serialized document of the certified two-points run.
-A refactor of the polynomial or condition code must reproduce these bit for
-bit.  The file was written by running this module as a script:
+For the same coverings it pins the Cech nerve at epsilon 0.15 up to
+dimension 3: the simplex count per dimension, a SHA-256 of the simplex
+lists and the boundary_ambiguous flag.  A refactor of the polynomial,
+condition or nerve code must reproduce these bit for bit.  The file was written by running this module as a script:
 
     PYTHONPATH=src python tests/test_covering_golden.py > tests/fixtures/covering_golden.json
 """
@@ -15,6 +17,7 @@ import os
 import sys
 
 from sah.covering import covering_fixed
+from sah.nerve import cech_nerve
 from sah.pipeline import (RunOptions, homology_algorithm,
                           normalize_strictness, parse_system,
                           serialize_result)
@@ -25,12 +28,17 @@ GOLDEN = os.path.join(FIXTURES, "covering_golden.json")
 FIXED_NAMES = ("annulus", "circle", "disk_closed", "disk_strict")
 FIXED_R = 0.25
 FIXED_EPS = 0.15
+NERVE_MAX_DIM = 3
+
+
+def _fixed_covering(name: str):
+    sys_ = parse_system(os.path.join(FIXTURES, f"{name}.json"))
+    hsys = scaled_homogenization(normalize_strictness(sys_))
+    return covering_fixed(hsys, FIXED_R, FIXED_EPS)
 
 
 def _fixed_snapshot(name: str) -> dict:
-    sys_ = parse_system(os.path.join(FIXTURES, f"{name}.json"))
-    hsys = scaled_homogenization(normalize_strictness(sys_))
-    cov = covering_fixed(hsys, FIXED_R, FIXED_EPS)
+    cov = _fixed_covering(name)
     return {
         "k_star": repr(cov.k_star),
         "audit_hypothesis": repr(cov.audit_hypothesis),
@@ -42,6 +50,18 @@ def _fixed_snapshot(name: str) -> dict:
     }
 
 
+def _nerve_snapshot(name: str) -> dict:
+    nerve = cech_nerve(_fixed_covering(name).points, FIXED_EPS,
+                       max_dim=NERVE_MAX_DIM)
+    dims = sorted(nerve.simplices)
+    listed = json.dumps([[list(s) for s in nerve.simplices[k]] for k in dims])
+    return {
+        "simplex_counts": {str(k): len(nerve.simplices[k]) for k in dims},
+        "simplices_sha256": hashlib.sha256(listed.encode()).hexdigest(),
+        "boundary_ambiguous": nerve.boundary_ambiguous,
+    }
+
+
 def _certified_document() -> str:
     sys_ = parse_system(os.path.join(FIXTURES, "two_points.json"))
     return serialize_result(homology_algorithm(sys_, RunOptions()))
@@ -49,6 +69,7 @@ def _certified_document() -> str:
 
 def snapshot() -> dict:
     return {"fixed": {name: _fixed_snapshot(name) for name in FIXED_NAMES},
+            "nerve": {name: _nerve_snapshot(name) for name in FIXED_NAMES},
             "two_points_certified": _certified_document()}
 
 
@@ -61,6 +82,12 @@ def test_fixed_coverings_are_bit_identical():
     golden = _golden()["fixed"]
     for name in FIXED_NAMES:
         assert _fixed_snapshot(name) == golden[name], name
+
+
+def test_fixed_nerves_are_identical():
+    golden = _golden()["nerve"]
+    for name in FIXED_NAMES:
+        assert _nerve_snapshot(name) == golden[name], name
 
 
 def test_certified_two_points_document_is_byte_identical():
