@@ -139,8 +139,9 @@ def homology_algorithm(sys: AffineSystem, opts: RunOptions) -> RunResult:
 # ---------------------------------------------------------------------------
 # File formats
 
-# Smallest positive normal float, 2^-1022.
+# Smallest positive normal float, 2^-1022, and the largest float.
 _NORMAL_MIN = Fraction(1, 2 ** 1022)
+_FLOAT_MAX = Fraction(np.finfo(float).max)
 
 
 def _parse_poly(entry: dict, n: int, where: str) -> tuple[list, int]:
@@ -177,15 +178,16 @@ def _parse_poly(entry: dict, n: int, where: str) -> tuple[list, int]:
 def _common_scale(coeffs: list[Fraction]) -> Fraction:
     """One power of two by which to multiply every coefficient of a system.
 
-    It is 1 unless some nonzero coefficient lies below the normal float
-    range, where it would round to a subnormal or to 0 (x^2 - 1 scaled by
-    1e-400 would parse as the zero system).  Then it is 2^-e with
+    It is 1 unless some nonzero coefficient lies outside the normal float
+    range: below it, it would round to a subnormal or to 0 (x^2 - 1 scaled
+    by 1e-400 would parse as the zero system); above it, it would overflow
+    (x^2 - 1 scaled by 1e400).  Then it is 2^-e with
     2^(e-1) < max |c| < 2^(e+1), which puts the largest coefficient in
     (1/2, 2).  A positive factor on every polynomial keeps the zero set and
     the sign of every inequality, so the solution set does not change.
     """
     mags = [abs(c) for c in coeffs if c]
-    if not mags or min(mags) >= _NORMAL_MIN:
+    if not mags or _NORMAL_MIN <= min(mags) and max(mags) <= _FLOAT_MAX:
         return Fraction(1)
     top = max(mags)
     return Fraction(2) ** (top.denominator.bit_length()

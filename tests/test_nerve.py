@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sah.errors import ContractViolation
-from sah.nerve import Ball, SimplicialComplex, cech_nerve, min_enclosing_ball
+from sah.nerve import (Ball, SimplicialComplex, cech_nerve, enclosing_balls,
+                       min_enclosing_ball)
 
 
 def brute_force_meb(pts: np.ndarray) -> float:
@@ -55,6 +56,13 @@ def test_meb_obtuse_triangle():
     assert b.radius == pytest.approx(2.0)
 
 
+def test_meb_thin_triangle_uses_all_three_points():
+    # acute and nearly flat: the circumcentre ((1 + d^2)/2, 0) is inside
+    d = 1e-3
+    b = min_enclosing_ball([(0.0, 0.0), (1.0, d), (1.0, -d)])
+    assert b.radius == pytest.approx((1.0 + d * d) / 2.0, rel=1e-12)
+
+
 def test_meb_single_and_empty():
     b = min_enclosing_ball([(3.0, -1.0)])
     assert b.radius == 0.0
@@ -71,6 +79,17 @@ def test_meb_contains_all_points(rng):
         assert np.max(np.linalg.norm(pts - b.center, axis=1)) <= b.radius + 1e-9
 
 
+def _degenerate_point_sets(rng, n: int, dim: int) -> list[np.ndarray]:
+    """Integer lattice points with ties, collinear points and duplicates:
+    their boundary subsets have singular Gram systems."""
+    lattice = rng.integers(-2, 3, (n, dim)).astype(float)
+    collinear = (rng.integers(-3, 4, (n, 1)) * rng.standard_normal(dim)
+                 + rng.standard_normal(dim))
+    distinct = rng.standard_normal((int(rng.integers(1, n + 1)), dim))
+    duplicated = distinct[rng.integers(0, len(distinct), n)]
+    return [lattice, collinear, duplicated]
+
+
 def test_meb_matches_oracle(rng):
     for _ in range(100):
         n = int(rng.integers(2, 8))
@@ -78,6 +97,24 @@ def test_meb_matches_oracle(rng):
         pts = rng.standard_normal((n, dim))
         b = min_enclosing_ball(pts)
         assert b.radius == pytest.approx(brute_force_meb(pts), abs=1e-6)
+    for _ in range(100):
+        n = int(rng.integers(2, 8))
+        dim = int(rng.integers(2, 4))
+        for pts in _degenerate_point_sets(rng, n, dim):
+            b = min_enclosing_ball(pts)
+            assert b.radius == pytest.approx(brute_force_meb(pts), abs=1e-6)
+            assert np.max(np.linalg.norm(pts - b.center, axis=1)) \
+                <= b.radius + 1e-9
+
+
+def test_enclosing_balls_batch_matches_single_calls(rng):
+    pts = rng.standard_normal((50, 4, 3))
+    pts[::5, 1] = pts[::5, 0]  # some duplicated points
+    radii, centres = enclosing_balls(pts)
+    for p, r, c in zip(pts, radii, centres):
+        b = min_enclosing_ball(p)
+        assert r == b.radius
+        assert np.array_equal(c, b.center)
 
 
 def test_nerve_equilateral_threshold():
@@ -87,6 +124,23 @@ def test_nerve_equilateral_threshold():
     hollow = cech_nerve(pts, 0.55)
     assert hollow.simplex_count(1) == 3
     assert hollow.simplex_count(2) == 0
+
+
+def test_nerve_uses_closed_balls_in_every_dimension():
+    # enclosing radius exactly 1: the closed unit balls meet at the origin
+    pts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert min_enclosing_ball(pts).radius == 1.0
+    k = cech_nerve(pts, 1.0)
+    assert k.simplices[1] == [(0, 1), (0, 2), (1, 2)]
+    assert k.simplices[2] == [(0, 1, 2)]
+    assert k.boundary_ambiguous
+
+
+def test_nerve_flags_a_triangle_on_the_threshold():
+    # edges are far from 2 eps; only the triangle's radius is in the band
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+    assert cech_nerve(pts, 1.0 / math.sqrt(3.0)).boundary_ambiguous
+    assert not cech_nerve(pts, 0.6).boundary_ambiguous
 
 
 def test_nerve_single_point():

@@ -126,7 +126,8 @@ def _two_points_doc(**equality) -> dict:
 
 @pytest.mark.parametrize("doc", [
     [_two_points_doc()],
-    _two_points_doc(terms=[{"coeff": "1e400", "exponents": [2]}]),
+    _two_points_doc(terms=[{"coeff": "1e400", "exponents": [2]},
+                           {"coeff": "-1e-400", "exponents": [0]}]),
     _two_points_doc(terms=5),
     _two_points_doc(terms=["1"]),
     _two_points_doc(degree=[2]),
@@ -213,16 +214,15 @@ def test_parse_decimal_and_fraction_coefficients(tmp_path):
     assert parse_system(str(p)).G[0].terms == {(2, 0): 0.5, (0, 2): -0.25}
 
 
-def test_cli_tiny_coefficients_are_rescaled_not_lost(tmp_path):
-    # x^2 - 1 scaled by 1e-400: every coefficient underflows a float, but
-    # one power-of-two factor for the whole system keeps the zero set
-    doc = _two_points_doc(terms=[{"coeff": "1e-400", "exponents": [2]},
-                                 {"coeff": "-1e-400", "exponents": [0]}])
-    p = tmp_path / "tiny.json"
+def _assert_scaled_two_points_certify(tmp_path, scale: str) -> None:
+    """x^2 - 1 with both coefficients times `scale` runs like two_points."""
+    doc = _two_points_doc(terms=[{"coeff": scale, "exponents": [2]},
+                                 {"coeff": "-" + scale, "exponents": [0]}])
+    p = tmp_path / "scaled.json"
     p.write_text(json.dumps(doc))
     (poly,) = parse_system(str(p)).F
     assert poly.terms[(2,)] == -poly.terms[(0,)] > 0.5
-    out, ref = tmp_path / "tiny_res.json", tmp_path / "ref_res.json"
+    out, ref = tmp_path / "scaled_res.json", tmp_path / "ref_res.json"
     assert cli_main(["compute", "--input", str(p), "--output", str(out)]) == 0
     assert cli_main(["compute", "--input", fixture_path("two_points.json"),
                      "--output", str(ref)]) == 0
@@ -230,6 +230,17 @@ def test_cli_tiny_coefficients_are_rescaled_not_lost(tmp_path):
     assert got["certified"] is True
     assert got["betti"] == [2, 0]
     assert got["iterations"] == want["iterations"]
+
+
+def test_cli_tiny_coefficients_are_rescaled_not_lost(tmp_path):
+    # x^2 - 1 scaled by 1e-400: every coefficient underflows a float, but
+    # one power-of-two factor for the whole system keeps the zero set
+    _assert_scaled_two_points_certify(tmp_path, "1e-400")
+
+
+def test_cli_huge_coefficients_are_rescaled_not_an_overflow(tmp_path):
+    # x^2 - 1 scaled by 1e400: every coefficient overflows a float
+    _assert_scaled_two_points_certify(tmp_path, "1e400")
 
 
 def test_parse_normal_coefficients_are_not_rescaled(tmp_path):
