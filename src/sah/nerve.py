@@ -84,8 +84,9 @@ def enclosing_balls(points) -> tuple[np.ndarray, np.ndarray]:
     the product of the diagonal) is solved with the identity: its centre
     is wrong, but its ball still encloses the points.  Only support sets
     that flat are lost, and a face of one then does nearly as well: for
-    (0, 0), (1, d), (1, -d) the ratio is 4 d^2 and the best edge ball is
-    larger by a relative 7 d^2 / 2, far inside SLACK_BAND.
+    (0, 0), (1, d), (1, -d), det over that bound is about 4 d^2 and the
+    best edge ball is larger by a relative 7 d^2 / 2, far inside SLACK_BAND.
+    The work grows as C(k, dim+1): this is for the few points of a simplex.
     """
     pts = np.asarray(points, dtype=float)
     n, k, dim = pts.shape
