@@ -170,8 +170,8 @@ def covering_fixed(sys: HomoSystem, r: float, epsilon: float) -> CoveringResult:
     """
     if sys.pattern.q > sys.sphere_dim:
         raise ContractViolation("the covering algorithm requires q <= n")
-    if epsilon <= 0.0:
-        raise ContractViolation("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ContractViolation("epsilon must be positive and finite")
     max_degree = sys.pattern.max_degree
     spec = GridSpec(sys.sphere_dim, r)
     k_star, witness, witness_sub, points = _scan_grid(

@@ -93,15 +93,9 @@ def grid_chunks(spec: GridSpec, chunk: int = DEFAULT_CHUNK) -> Iterator[np.ndarr
     """The same stream as arrays of shape (k, n+1), k <= chunk."""
     dim = spec.n + 1
     for j, sign, ranges in _faces(spec):
-        sizes = [len(rg) for rg in ranges]
-        total = math.prod(sizes) if sizes else 1
-        if not sizes:
-            y = np.array([sign], dtype=float)
-            yield (y / np.linalg.norm(y))[None, :]
-            continue
         # slab along the first free coordinate to bound memory
-        per_row = total // sizes[0] if sizes[0] else total
-        rows_per_slab = max(1, chunk // max(per_row, 1))
+        per_row = math.prod(len(rg) for rg in ranges[1:])
+        rows_per_slab = max(1, chunk // per_row)
         first = list(ranges[0])
         rest = ranges[1:]
         for start in range(0, len(first), rows_per_slab):

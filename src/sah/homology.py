@@ -8,8 +8,8 @@ Saunders and Welker, 2003), and eliminating them is unimodular.  The
 degrees are reduced from the top down, so that the columns of d_k already
 known to be redundant from d_{k+1} are never touched (the "twist" of Chen
 and Kerber, 2011).  Whatever the unit pivots leave over goes to
-`smith_normal_form`, a sparse Smith reduction with arbitrary-precision
-integers, which keeps the torsion exact.
+`smith_normal_form`, a dense textbook Smith reduction with
+arbitrary-precision integers, which keeps the torsion exact.
 """
 
 from __future__ import annotations
@@ -72,117 +72,53 @@ def boundary_matrix(complex_: SimplicialComplex, k: int) -> BoundaryMatrix:
     return mat
 
 
-def _gcd_chain_fixup(factors: list[int]) -> list[int]:
-    """Restore divisibility d_1 | d_2 | ... among positive diagonal values.
-
-    Factors equal to 1 are set aside before the quadratic loop, which is
-    exact: sorted, they come first; 1 divides every value, so no pair
-    (i, j) with d[i] = 1 is ever rewritten, and the loop over those
-    positions only re-sorts a tail it leaves unchanged.  The result is
-    therefore the ones followed by the fix-up of the rest.
-    """
-    import math
-
-    ones = [1] * factors.count(1)
-    d = sorted(f for f in factors if f != 1)
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            if d[j] % d[i] != 0:
-                g = math.gcd(d[i], d[j])
-                lcm = d[i] // g * d[j]
-                d[i], d[j] = g, lcm
-        d = d[:i + 1] + sorted(d[i + 1:])
-    return ones + d
-
-
 def smith_normal_form(mat: BoundaryMatrix) -> list[int]:
     """Invariant factors (positive, in divisibility order) of the matrix.
 
-    Gaussian-style elimination over the integers: repeatedly pick the
-    remaining nonzero entry of least absolute value (ties broken by lowest
-    column, then lowest row), clear its row and column with exact division
-    steps, and retire it to the diagonal once it divides everything it
-    meets.
+    Textbook Smith reduction over the integers on the dense matrix.  A
+    nonzero entry p of least absolute value is the pivot.  Its column and
+    then its row are cleared by division with remainder; each remainder
+    left there is smaller than |p|, and the least nonzero one becomes the
+    next pivot.  Once both are clear, a row with an entry not divisible by
+    p is added to the pivot row, whose next clearing then leaves such a
+    remainder.  So |p| falls at every move and the loop ends.  Otherwise p
+    divides every entry left: |p| is recorded and its row and column
+    deleted.  Later entries are integer combinations of entries p divides,
+    so every later factor is a multiple of p: the factors come out in
+    divisibility order.
     """
-    import heapq
-
-    rows = [dict(r) for r in mat.rows]
-    col_rows: dict[int, set[int]] = {}
-    # lazily validated heap realizing min-abs pivoting with ties broken by
-    # lowest column, then lowest row; stale entries are skipped on pop
-    heap: list[tuple[int, int, int, int]] = []
-    for i, r in enumerate(rows):
-        for j, v in r.items():
-            col_rows.setdefault(j, set()).add(i)
-            heap.append((abs(v), j, i, v))
-    heapq.heapify(heap)
-    remaining = sum(len(r) for r in rows)
+    a = mat.dense()
     factors: list[int] = []
-
-    def set_entry(i: int, j: int, v: int) -> None:
-        nonlocal remaining
-        had = j in rows[i]
-        if v:
-            rows[i][j] = v
-            col_rows.setdefault(j, set()).add(i)
-            heapq.heappush(heap, (abs(v), j, i, v))
-            if not had:
-                remaining += 1
-        else:
-            if had:
-                del rows[i][j]
-                remaining -= 1
-            s = col_rows.get(j)
-            if s is not None:
-                s.discard(i)
-                if not s:
-                    del col_rows[j]
-
-    def add_row(src: int, dst: int, mult: int) -> None:
-        for j, v in list(rows[src].items()):
-            set_entry(dst, j, rows[dst].get(j, 0) + mult * v)
-
-    def add_col(src: int, dst: int, mult: int) -> None:
-        for i in list(col_rows.get(src, ())):
-            set_entry(i, dst, rows[i].get(dst, 0) + mult * rows[i][src])
-
-    while remaining:
-        # peek, not pop: if the pivot moves away, this entry may stay
-        # nonzero and must remain findable
+    while any(any(row) for row in a):
+        _, pi, pj = min((abs(v), i, j) for i, row in enumerate(a)
+                        for j, v in enumerate(row) if v)
         while True:
-            _, pj, pi, pv = heap[0]
-            if rows[pi].get(pj) == pv:
-                break
-            heapq.heappop(heap)
-        # alternate between clearing the pivot column and the pivot row;
-        # any nonzero remainder becomes a strictly smaller pivot, so the
-        # loop terminates
-        while True:
-            moved = False
-            for i in list(col_rows.get(pj, ())):
-                if i == pi:
-                    continue
-                add_row(pi, i, -(rows[i][pj] // pv))
-                if rows[i].get(pj, 0):
-                    pi, pv = i, rows[i][pj]
-                    moved = True
-                    break
-            if moved:
+            p = a[pi][pj]
+            for i, row in enumerate(a):
+                if i != pi and row[pj]:
+                    q = row[pj] // p
+                    a[i] = [x - q * y for x, y in zip(row, a[pi])]
+            for j, v in enumerate(a[pi]):
+                if j != pj and v:
+                    q = v // p
+                    for row in a:
+                        row[j] -= q * row[pj]
+            rest = ([(abs(row[pj]), i, pj) for i, row in enumerate(a)
+                     if i != pi and row[pj]]
+                    + [(abs(v), pi, j) for j, v in enumerate(a[pi])
+                       if j != pj and v])
+            if rest:
+                _, pi, pj = min(rest)
                 continue
-            for j in list(rows[pi]):
-                if j == pj:
-                    continue
-                add_col(pj, j, -(rows[pi][j] // pv))
-                if rows[pi].get(j, 0):
-                    pj, pv = j, rows[pi][j]
-                    moved = True
-                    break
-            if not moved:
+            bad = next((row for row in a if any(v % p for v in row)), None)
+            if bad is None:
                 break
-        factors.append(abs(pv))
-        set_entry(pi, pj, 0)
-
-    return _gcd_chain_fixup(factors)
+            a[pi] = [x + y for x, y in zip(a[pi], bad)]
+        factors.append(abs(p))
+        del a[pi]
+        for row in a:
+            del row[pj]
+    return factors
 
 
 def unit_pivot_reduction(mat: BoundaryMatrix,
@@ -264,17 +200,6 @@ def _subtract(col: dict[int, int], piv: dict[int, int], c: int) -> None:
             col[i] = w
         else:
             del col[i]
-
-
-def matrix_rank_and_torsion(mat: BoundaryMatrix) -> tuple[int, tuple[int, ...]]:
-    """Rank over Q and the invariant factors exceeding 1.
-
-    Unit pivots contribute invariant factors 1; the rest come from the
-    Smith normal form of the residual block (`unit_pivot_reduction`).
-    """
-    pivot_rows, residual = unit_pivot_reduction(mat)
-    factors = smith_normal_form(residual)
-    return len(pivot_rows) + len(factors), tuple(d for d in factors if d > 1)
 
 
 @dataclass(frozen=True)

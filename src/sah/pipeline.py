@@ -13,6 +13,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -202,8 +203,11 @@ def _float_poly(pairs: list, n: int, scale: Fraction, where: str) -> AffinePoly:
         except OverflowError as exc:
             raise ParseError(f"{where}: bad term ({exc})") from None
         if c and not value:
-            raise ParseError(f"{where}: coefficient {c} is too small against "
-                             "the largest one of the system for a float")
+            # Decimal, unlike float, holds any exponent: print 1e-400 short
+            short = format(Decimal(c.numerator) / c.denominator, ".6g")
+            raise ParseError(f"{where}: coefficient {short} is too small "
+                             "against the largest one of the system for a "
+                             "float")
         terms[exps] = terms.get(exps, 0.0) + value
     return AffinePoly(n, terms)
 

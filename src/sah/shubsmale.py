@@ -204,10 +204,6 @@ class FlowTrace:
         if len(t) == 0 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
             raise ContractViolation("times must strictly increase from 0")
 
-    @property
-    def final_point(self) -> np.ndarray:
-        return self.points[-1]
-
 
 def newton_flow(f: PolyMap, x0, t_end: float,
                 step: float = DEFAULT_FLOW_STEP) -> FlowTrace:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from sah.errors import ContractViolation
 from sah.homology import (BoundaryMatrix, HomologyGroups, boundary_matrix,
-                          homology_of_complex, matrix_rank_and_torsion,
-                          smith_normal_form, unit_pivot_reduction)
+                          homology_of_complex, smith_normal_form,
+                          unit_pivot_reduction)
 from sah.nerve import SimplicialComplex
 
 
@@ -194,7 +194,7 @@ def test_rank_matches_float_rank(rng):
     k_ = octahedron()
     for k in (1, 2):
         mat = boundary_matrix(k_, k)
-        rank, _ = matrix_rank_and_torsion(mat)
+        rank, _ = rank_and_torsion(mat)
         assert rank == np.linalg.matrix_rank(np.array(mat.dense(), dtype=float))
 
 
@@ -206,6 +206,13 @@ def test_homology_groups_validation():
 def test_empty_complex():
     h = homology_of_complex(SimplicialComplex(0, {}))
     assert h.betti == ()
+
+
+def rank_and_torsion(mat: BoundaryMatrix) -> tuple[int, tuple[int, ...]]:
+    """Unit pivots (without clearing), then the SNF of the residual block."""
+    pivot_rows, residual = unit_pivot_reduction(mat)
+    factors = smith_normal_form(residual)
+    return len(pivot_rows) + len(factors), tuple(d for d in factors if d > 1)
 
 
 def full_snf_rank_and_torsion(mat: BoundaryMatrix
@@ -277,7 +284,10 @@ def small_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(small_matrices())
 def test_rank_and_torsion_agree_with_full_snf(mat):
-    assert matrix_rank_and_torsion(mat) == full_snf_rank_and_torsion(mat)
+    assert rank_and_torsion(mat) == full_snf_rank_and_torsion(mat)
+    if mat.num_rows <= 5 and mat.num_cols <= 5:
+        # the only reference independent of smith_normal_form
+        assert smith_normal_form(mat) == gcd_minors_snf(mat.dense())
 
 
 def test_rp2_leaves_a_residual_block_with_the_torsion():
@@ -286,10 +296,19 @@ def test_rp2_leaves_a_residual_block_with_the_torsion():
     assert len(pivot_rows) == 9
     assert residual.num_cols == 1
     assert smith_normal_form(residual) == [2]
-    assert matrix_rank_and_torsion(d2) == (10, (2,))
+    assert rank_and_torsion(d2) == (10, (2,))
 
 
-def test_gcd_chain_fixup_keeps_unit_factors_first():
-    # the unit factors skip the quadratic loop; the rest is still fixed up
+def test_snf_orders_a_diagonal_by_divisibility():
+    # 4 and 6 are not multiples of one another: they become 2 and 12
     assert smith_normal_form(BoundaryMatrix(
         4, 4, [{0: 1}, {1: 4}, {2: 1}, {3: 6}])) == [1, 1, 2, 12]
+
+
+def test_snf_of_big_integers_is_exact():
+    a, b = 2 ** 64, 3 ** 40
+    assert smith_normal_form(BoundaryMatrix(
+        2, 2, [{0: a}, {1: b}])) == [1, a * b]
+    # gcd of the entries 1, determinant a b - 6 a b
+    assert smith_normal_form(BoundaryMatrix(
+        2, 2, [{0: a, 1: 3 * a}, {0: 2 * b, 1: b}])) == [1, 5 * a * b]

@@ -124,24 +124,32 @@ def _two_points_doc(**equality) -> dict:
             "equalities": [{**eq, **equality}], "inequalities": []}
 
 
-@pytest.mark.parametrize("doc", [
-    [_two_points_doc()],
-    _two_points_doc(terms=[{"coeff": "1e400", "exponents": [2]},
-                           {"coeff": "-1e-400", "exponents": [0]}]),
-    _two_points_doc(terms=5),
-    _two_points_doc(terms=["1"]),
-    _two_points_doc(degree=[2]),
-    {**_two_points_doc(), "n": [1]},
-    {**_two_points_doc(), "equalities": 5},
+FIXED = ["--mode", "fixed", "--r", "0.25", "--epsilon"]
+
+
+@pytest.mark.parametrize("doc,args", [
+    ([_two_points_doc()], []),
+    (_two_points_doc(terms=[{"coeff": "1e400", "exponents": [2]},
+                            {"coeff": "-1e-400", "exponents": [0]}]), []),
+    (_two_points_doc(terms=5), []),
+    (_two_points_doc(terms=["1"]), []),
+    (_two_points_doc(degree=[2]), []),
+    ({**_two_points_doc(), "n": [1]}, []),
+    ({**_two_points_doc(), "equalities": 5}, []),
+    (_two_points_doc(), FIXED + ["nan"]),
+    (_two_points_doc(), FIXED + ["inf"]),
 ], ids=["top-level-array", "coeff-overflow", "terms-not-a-list",
         "term-not-an-object", "degree-not-an-integer", "n-not-an-integer",
-        "equalities-not-a-list"])
-def test_cli_malformed_input_is_an_error_not_a_traceback(doc, tmp_path,
+        "equalities-not-a-list", "epsilon-nan", "epsilon-inf"])
+def test_cli_malformed_input_is_an_error_not_a_traceback(doc, args, tmp_path,
                                                           capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
-    assert cli_main(["compute", "--input", str(p)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert cli_main(["compute", "--input", str(p)] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    # one short line, e.g. no coefficient printed as a 400-digit fraction
+    assert len(err) < 200 and err.count("\n") == 1
 
 
 def test_emit_result_document_fields():
