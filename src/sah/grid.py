@@ -93,11 +93,9 @@ def grid_chunks(spec: GridSpec, chunk: int = DEFAULT_CHUNK) -> Iterator[np.ndarr
     """The same stream as arrays of shape (k, n+1), k <= chunk."""
     dim = spec.n + 1
     for j, sign, ranges in _faces(spec):
+        first, rest = list(ranges[0]), ranges[1:]
         # slab along the first free coordinate to bound memory
-        per_row = math.prod(len(rg) for rg in ranges[1:])
-        rows_per_slab = max(1, chunk // per_row)
-        first = list(ranges[0])
-        rest = ranges[1:]
+        rows_per_slab = max(1, chunk // math.prod(len(rg) for rg in rest))
         for start in range(0, len(first), rows_per_slab):
             head = first[start:start + rows_per_slab]
             grids = np.meshgrid(np.array(head), *[np.array(list(rg)) for rg in rest],
