@@ -14,6 +14,7 @@ import sys as _sys
 import numpy as np
 
 from .condition import condition_report, kappa_subtuple_max
+from .covering import DEFAULT_MAX_ITERATIONS
 from .errors import ContractViolation, ParseError
 from .grid import GridSpec, grid_count, grid_stream
 from .pipeline import (RunOptions, homology_algorithm, parse_system,
@@ -34,8 +35,9 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--r", type=float, default=None)
     comp.add_argument("--epsilon", type=float, default=None)
     comp.add_argument("--max-dim", type=int, default=None)
-    comp.add_argument("--max-iterations", type=int, default=60)
-    comp.add_argument("--min-r", type=float, default=2.0 ** -60)
+    comp.add_argument("--max-iterations", type=int,
+                      default=DEFAULT_MAX_ITERATIONS,
+                      help="passes at r = 1/2, 1/4, ...; at least 1")
     comp.add_argument("--output", default=None)
     comp.add_argument("--timing", action="store_true",
                       help="include wall time in the output document")
@@ -56,7 +58,7 @@ def _cmd_compute(args) -> int:
     system = parse_system(args.input)
     opts = RunOptions(mode=args.mode, r_override=args.r,
                       epsilon_override=args.epsilon, max_dim=args.max_dim,
-                      max_iterations=args.max_iterations, min_r=args.min_r)
+                      max_iterations=args.max_iterations)
     result = homology_algorithm(system, opts)
     text = serialize_result(result, include_timing=args.timing)
     if args.output:
@@ -73,6 +75,12 @@ def _cmd_condition(args) -> int:
     if len(x) != system.n + 1:
         raise ContractViolation(
             f"point needs {system.n + 1} homogeneous coordinates")
+    # scaling by the largest |x_i| first keeps the norm from overflowing
+    scale = np.abs(x).max()
+    if not 0.0 < scale < math.inf:
+        raise ContractViolation(f"point {args.point} must have finite "
+                                "coordinates, not all zero")
+    x = x / scale
     x = x / np.linalg.norm(x)
     hsys = scaled_homogenization(system)
     report = condition_report(hsys.F, x,

@@ -147,26 +147,46 @@ def subtuples(s: int, max_len: int):
             yield Subtuple(combo)
 
 
-def kappa_subtuple_max(sys: HomoSystem, x) -> tuple[float, Subtuple]:
-    """Maximum of kappa over the admissible inequality subtuples at x.
+def subtuple_kernels(sys: HomoSystem) -> list[tuple[Subtuple, SubtupleKernel]]:
+    """The admissible subtuples L of a system, each with its kernel for F^L.
 
-    Admissible subtuples L satisfy q + |L| <= n + 1.  Returns the maximum
-    and the first subtuple attaining it (enumeration order: by length, then
-    lexicographic).
+    Admissible subtuples satisfy q + |L| <= n + 1; they come in the order
+    of `subtuples` (by length, then lexicographic).
     """
     q = sys.pattern.q
     n = sys.sphere_dim
     if q > n + 1:
         raise ContractViolation("too many equalities for the subtuple maximum")
-    best = -math.inf
-    best_sub = Subtuple(())
-    for sub in subtuples(sys.pattern.s, n + 1 - q):
-        polys = sys.F + tuple(sys.G[i] for i in sub.indices)
-        val = kappa(polys, x)
-        if val > best:
-            best = val
-            best_sub = sub
-    return best, best_sub
+    return [(sub, SubtupleKernel(sys.F + tuple(sys.G[i] for i in sub.indices)))
+            for sub in subtuples(sys.pattern.s, n + 1 - q)]
+
+
+def kappa_max_many(kernels, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum of kappa over `kernels` at each of an (N, n+1) array of points.
+
+    `kernels` is a `subtuple_kernels` list.  Returns the maxima and, per
+    point, the index of the first kernel attaining it (index 0 where every
+    value is NaN).
+    """
+    best = np.full(len(pts), -math.inf)
+    arg = np.zeros(len(pts), dtype=int)
+    for i, (_, kern) in enumerate(kernels):
+        vals = kern.kappa_many(pts)
+        better = vals > best
+        best[better] = vals[better]
+        arg[better] = i
+    return best, arg
+
+
+def kappa_subtuple_max(sys: HomoSystem, x) -> tuple[float, Subtuple]:
+    """Maximum of kappa over the admissible inequality subtuples at x.
+
+    A one-point call of `kappa_max_many`: returns the maximum and the first
+    subtuple attaining it.
+    """
+    kernels = subtuple_kernels(sys)
+    best, arg = kappa_max_many(kernels, _check_unit(x)[None, :])
+    return float(best[0]), kernels[arg[0]][0]
 
 
 def reach_lower_bound(kappa_star: float, max_degree: int) -> float:

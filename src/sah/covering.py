@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condition import Subtuple, SubtupleKernel, subtuples
+from .condition import Subtuple, kappa_max_many, subtuple_kernels
 from .errors import ContractViolation
 from .grid import GridSpec, grid_chunks, grid_count
 from .polysys import HomoSystem, weyl_norm_poly
 
 DEFAULT_MAX_ITERATIONS = 60
-DEFAULT_MIN_R = 2.0 ** -60
 
 # Constants of the termination test and the output radius.  No slack is
 # added anywhere; comparisons use these exact floating-point values.
@@ -61,51 +60,37 @@ def approx_member_mask(sys: HomoSystem, r: float, pts: np.ndarray) -> np.ndarray
     return mask
 
 
-def _kernels(sys: HomoSystem) -> list[tuple[Subtuple, SubtupleKernel]]:
-    n = sys.sphere_dim
-    q = sys.pattern.q
-    out = []
-    for sub in subtuples(sys.pattern.s, n + 1 - q):
-        polys = sys.F + tuple(sys.G[i] for i in sub.indices)
-        out.append((sub, SubtupleKernel(polys)))
-    return out
+def _scan(sys: HomoSystem, r: float) -> dict:
+    """One streaming pass over the grid of radius r.
 
-
-def _scan_grid(sys: HomoSystem, spec: GridSpec, member_radius: float | None):
-    """One streaming pass: subtuple-max condition number and member points."""
-    kernels = _kernels(sys)
+    Returns the `CoveringResult` fields a pass decides: the subtuple-max
+    condition number k*, the first grid point and subtuple attaining it,
+    the grid points in the sqrt(D) r relaxation and the grid size.
+    """
+    if sys.pattern.q > sys.sphere_dim:
+        raise ContractViolation("the covering algorithm requires q <= n")
+    spec = GridSpec(sys.sphere_dim, r)
+    member_radius = math.sqrt(sys.pattern.max_degree) * r
+    kernels = subtuple_kernels(sys)
     k_star = -math.inf
     witness = None
     witness_sub = Subtuple(())
     members = []
     for block in grid_chunks(spec):
-        block_max = np.full(len(block), -math.inf)
-        block_arg = np.zeros(len(block), dtype=int)
-        for si, (sub, kern) in enumerate(kernels):
-            vals = kern.kappa_many(block)
-            better = vals > block_max
-            block_max[better] = vals[better]
-            block_arg[better] = si
+        block_max, block_arg = kappa_max_many(kernels, block)
         i = int(np.argmax(block_max))
         if block_max[i] > k_star:
             k_star = float(block_max[i])
             witness = block[i].copy()
             witness_sub = kernels[block_arg[i]][0]
-        if member_radius is not None:
-            mask = approx_member_mask(sys, member_radius, block)
-            if mask.any():
-                members.append(block[mask])
-    pts = (np.concatenate(members, axis=0) if members
-           else np.zeros((0, sys.num_vars)))
-    return k_star, witness, witness_sub, pts
-
-
-def k_star_over_grid(sys: HomoSystem, r: float) -> tuple[float, np.ndarray, Subtuple]:
-    """Maximum subtuple condition number over the grid of radius r."""
-    if sys.pattern.q > sys.sphere_dim:
-        raise ContractViolation("the grid scan requires q <= n")
-    k, wx, wsub, _ = _scan_grid(sys, GridSpec(sys.sphere_dim, r), None)
-    return k, wx, wsub
+        mask = approx_member_mask(sys, member_radius, block)
+        if mask.any():
+            members.append(block[mask])
+    points = (np.concatenate(members, axis=0) if members
+              else np.zeros((0, sys.num_vars)))
+    return dict(points=points, r_final=r, k_star=k_star,
+                grid_size=grid_count(spec), witness_point=witness,
+                witness_subtuple=witness_sub)
 
 
 def certificate_holds(max_degree: int, k_star: float, r: float) -> bool:
@@ -119,45 +104,28 @@ def ball_radius(max_degree: int, k_star: float, r: float) -> float:
 
 
 def covering(sys: HomoSystem,
-             max_iterations: int = DEFAULT_MAX_ITERATIONS,
-             min_r: float = DEFAULT_MIN_R) -> CoveringResult:
-    """Certified covering: halve r until the condition certificate holds.
+             max_iterations: int = DEFAULT_MAX_ITERATIONS) -> CoveringResult:
+    """Certified covering: r = 2^-i for i = 1, 2, ... until the condition
+    certificate holds.
 
-    The loop cannot terminate on ill-posed systems; the iteration cap and
-    the radius floor convert divergence into a result with certified=False
-    and partial diagnostics.
+    The loop cannot terminate on ill-posed systems; the iteration cap
+    converts divergence into a result with certified=False and the
+    diagnostics of the last pass.  At least one pass runs.
     """
-    if sys.pattern.q > sys.sphere_dim:
-        raise ContractViolation("the covering algorithm requires q <= n")
-    n = sys.sphere_dim
+    if max_iterations < 1:
+        raise ContractViolation("max_iterations must be at least 1")
     max_degree = sys.pattern.max_degree
-    r = 1.0
-    iterations = 0
-    k_star = math.inf
-    witness, witness_sub = None, Subtuple(())
-    points = np.zeros((0, sys.num_vars))
-    gsize = 0
-    certified = False
-    while iterations < max_iterations and r / 2.0 >= min_r:
-        r /= 2.0
-        iterations += 1
-        spec = GridSpec(n, r)
-        gsize = grid_count(spec)
-        k_star, witness, witness_sub, points = _scan_grid(
-            sys, spec, member_radius=math.sqrt(max_degree) * r)
-        if certificate_holds(max_degree, k_star, r):
-            certified = True
+    for iterations in range(1, max_iterations + 1):
+        scan = _scan(sys, 2.0 ** -iterations)
+        certified = certificate_holds(max_degree, scan["k_star"],
+                                      scan["r_final"])
+        if certified:
             break
     return CoveringResult(
-        points=points,
-        epsilon=ball_radius(max_degree, k_star, r),
-        r_final=r,
-        k_star=k_star,
+        **scan,
+        epsilon=ball_radius(max_degree, scan["k_star"], scan["r_final"]),
         iterations=iterations,
         certified=certified,
-        grid_size=gsize,
-        witness_point=witness,
-        witness_subtuple=witness_sub,
     )
 
 
@@ -168,25 +136,17 @@ def covering_fixed(sys: HomoSystem, r: float, epsilon: float) -> CoveringResult:
     reports the value 13 * D^{3/2} * k*^2 * (sqrt(D) r), which is below 1
     exactly when the relaxation-to-distance bound applies.
     """
-    if sys.pattern.q > sys.sphere_dim:
-        raise ContractViolation("the covering algorithm requires q <= n")
     if not 0.0 < epsilon < math.inf:
         raise ContractViolation("epsilon must be positive and finite")
+    scan = _scan(sys, r)
     max_degree = sys.pattern.max_degree
-    spec = GridSpec(sys.sphere_dim, r)
-    k_star, witness, witness_sub, points = _scan_grid(
-        sys, spec, member_radius=math.sqrt(max_degree) * r)
+    k_star = scan["k_star"]
     hypothesis = (13.0 * max_degree ** 1.5 * k_star * k_star
                   * math.sqrt(max_degree) * r)
     return CoveringResult(
-        points=points,
+        **scan,
         epsilon=epsilon,
-        r_final=r,
-        k_star=k_star,
         iterations=0,
         certified=False,
-        grid_size=grid_count(spec),
-        witness_point=witness,
-        witness_subtuple=witness_sub,
         audit_hypothesis=hypothesis,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -39,20 +39,17 @@ def shell_order(n: int, r: float) -> int:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Parameters of the shell grid on S^n (ambient dimension n+1)."""
+    """Parameters of the shell grid on S^n (ambient dimension n+1); the
+    shell order M = ceil(sqrt(n)/r) is derived."""
 
     n: int
     r: float
-    M: int = 0
+    M: int = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ContractViolation("sphere dimension must be >= 1")
-        m = shell_order(self.n, self.r)
-        if self.M == 0:
-            object.__setattr__(self, "M", m)
-        elif self.M != m:
-            raise ContractViolation("M does not equal ceil(sqrt(n)/r)")
+        object.__setattr__(self, "M", shell_order(self.n, self.r))
 
     @classmethod
     def from_shell(cls, n: int, m: int) -> "GridSpec":

@@ -20,7 +20,7 @@ import numpy as np
 
 from .condition import ConditionReport, condition_report
 from .covering import (CoveringResult, approx_member_mask, covering,
-                       covering_fixed, DEFAULT_MAX_ITERATIONS, DEFAULT_MIN_R)
+                       covering_fixed, DEFAULT_MAX_ITERATIONS)
 from .errors import ContractViolation, ParseError
 from .homology import HomologyGroups, homology_of_complex
 from .nerve import cech_nerve
@@ -39,7 +39,6 @@ class RunOptions:
     epsilon_override: float | None = None
     max_dim: int | None = None
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    min_r: float = DEFAULT_MIN_R
 
     def __post_init__(self):
         if self.mode not in ("certified", "fixed"):
@@ -60,7 +59,6 @@ class RunResult:
     covering: CoveringResult
     condition: ConditionReport | None
     max_dim: int
-    num_simplices: int
     boundary_ambiguous: bool
     wall_time_ms: float
 
@@ -87,8 +85,7 @@ def _trivial_result(sys: AffineSystem, max_dim: int, t0: float) -> RunResult:
                          certified=True, grid_size=0)
     return RunResult(
         homology=HomologyGroups(betti, ((),) * max_dim),
-        covering=cov, condition=None, max_dim=max_dim, num_simplices=0,
-        boundary_ambiguous=False,
+        covering=cov, condition=None, max_dim=max_dim, boundary_ambiguous=False,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0)
 
 
@@ -102,8 +99,7 @@ def homology_algorithm(sys: AffineSystem, opts: RunOptions) -> RunResult:
         return _trivial_result(sys, max_dim, t0)
     hsys = scaled_homogenization(normalize_strictness(sys))
     if opts.mode == "certified":
-        cov = covering(hsys, max_iterations=opts.max_iterations,
-                       min_r=opts.min_r)
+        cov = covering(hsys, max_iterations=opts.max_iterations)
     else:
         cov = covering_fixed(hsys, opts.r_override, opts.epsilon_override)
         d = hsys.pattern.max_degree
@@ -116,11 +112,9 @@ def homology_algorithm(sys: AffineSystem, opts: RunOptions) -> RunResult:
         cond = condition_report(polys, cov.witness_point,
                                 max_degree=hsys.pattern.max_degree)
     homology = None
-    num_simplices = 0
     ambiguous = False
     if cov.certified or opts.mode == "fixed":
         nerve = cech_nerve(cov.points, cov.epsilon, max_dim=max_dim)
-        num_simplices = sum(len(v) for v in nerve.simplices.values())
         ambiguous = nerve.boundary_ambiguous
         groups = homology_of_complex(nerve, max_degree=max_dim - 1)
         betti = list(groups.betti) + [0] * (max_dim - len(groups.betti))
@@ -132,7 +126,6 @@ def homology_algorithm(sys: AffineSystem, opts: RunOptions) -> RunResult:
         covering=cov,
         condition=cond,
         max_dim=max_dim,
-        num_simplices=num_simplices,
         boundary_ambiguous=ambiguous,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0)
 

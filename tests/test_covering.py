@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import two_points_system
+from conftest import annulus_system, two_points_system
+from sah.condition import Subtuple, kappa_subtuple_max
 from sah.covering import (approx_member_mask, ball_radius, certificate_holds,
-                          covering, covering_fixed, k_star_over_grid)
+                          covering, covering_fixed)
 from sah.errors import ContractViolation
 from sah.grid import GridSpec, grid_points
 from sah.polysys import (DegreePattern, HomoPoly, HomoSystem,
@@ -63,18 +64,16 @@ def test_mask_matches_scalar(rng):
 
 def test_k_star_over_grid_linear():
     # kappa of (X1) is 1 everywhere on S^1
-    k, witness, sub = k_star_over_grid(linear_system(), 0.25)
-    assert k == pytest.approx(1.0)
-    assert len(sub) == 0
-    assert np.linalg.norm(witness) == pytest.approx(1.0)
+    res = covering_fixed(linear_system(), 0.25, 0.1)
+    assert res.k_star == pytest.approx(1.0)
+    assert len(res.witness_subtuple) == 0
+    assert np.linalg.norm(res.witness_point) == pytest.approx(1.0)
 
 
 def test_k_star_matches_brute_force():
     sys_ = scaled_homogenization(two_points_system())
     r = 0.25
-    k, _, _ = k_star_over_grid(sys_, r)
-    from sah.condition import kappa_subtuple_max
-
+    k = covering_fixed(sys_, r, 0.1).k_star
     best = max(kappa_subtuple_max(sys_, x)[0]
                for x in grid_points(GridSpec(sys_.sphere_dim, r)))
     assert k == pytest.approx(best, rel=1e-12)
@@ -118,6 +117,37 @@ def test_covering_gives_up_on_illposed():
     res = covering(sys_, max_iterations=5)
     assert not res.certified
     assert res.iterations == 5
+    assert res.r_final == 2.0 ** -5
+
+
+def test_ties_go_to_the_first_subtuple_and_the_first_point():
+    # F = (X1), G = (X0, X0): F^L for L = (0,) and L = (1,) are the same
+    # overdetermined pair, with kappa sqrt(2) > kappa(F) = 1 at every point
+    x0 = HomoPoly(2, 1, {(1, 0): 1.0})
+    sys_ = HomoSystem(linear_system().F, (x0, x0),
+                      DegreePattern((1, 1, 1), 1, 2))
+    pts = grid_points(GridSpec(1, 0.5))
+    for x in pts[:3]:
+        k, sub = kappa_subtuple_max(sys_, x)
+        assert k == pytest.approx(math.sqrt(2.0))
+        assert sub == Subtuple((0,))
+    res = covering_fixed(sys_, 0.5, 0.1)
+    assert res.witness_subtuple == Subtuple((0,))
+    assert np.array_equal(res.witness_point, pts[0])
+
+
+@pytest.mark.parametrize("affine", [annulus_system, two_points_system])
+def test_first_certified_pass_is_the_fixed_pass_at_one_half(affine):
+    # both modes share one grid pass, so its results agree bit for bit
+    sys_ = scaled_homogenization(affine())
+    got = covering(sys_, max_iterations=1)
+    want = covering_fixed(sys_, 0.5, 0.1)
+    assert got.r_final == want.r_final == 0.5
+    assert got.k_star == want.k_star
+    assert np.array_equal(got.witness_point, want.witness_point)
+    assert got.witness_subtuple == want.witness_subtuple
+    assert np.array_equal(got.points, want.points)
+    assert got.grid_size == want.grid_size
 
 
 def test_covering_fixed_audit_value():

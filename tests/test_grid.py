@@ -28,8 +28,6 @@ def test_grid_spec_validation():
     spec = GridSpec(1, 0.5)
     assert spec.M == 2
     with pytest.raises(ContractViolation):
-        GridSpec(1, 0.5, M=3)
-    with pytest.raises(ContractViolation):
         GridSpec(0, 0.5)
 
 

@@ -124,32 +124,43 @@ def _two_points_doc(**equality) -> dict:
             "equalities": [{**eq, **equality}], "inequalities": []}
 
 
-FIXED = ["--mode", "fixed", "--r", "0.25", "--epsilon"]
+FIXED = ["compute", "--mode", "fixed", "--r", "0.25", "--epsilon"]
 
 
-@pytest.mark.parametrize("doc,args", [
-    ([_two_points_doc()], []),
+@pytest.mark.parametrize("doc,argv", [
+    ([_two_points_doc()], ["compute"]),
     (_two_points_doc(terms=[{"coeff": "1e400", "exponents": [2]},
-                            {"coeff": "-1e-400", "exponents": [0]}]), []),
-    (_two_points_doc(terms=5), []),
-    (_two_points_doc(terms=["1"]), []),
-    (_two_points_doc(degree=[2]), []),
-    ({**_two_points_doc(), "n": [1]}, []),
-    ({**_two_points_doc(), "equalities": 5}, []),
+                            {"coeff": "-1e-400", "exponents": [0]}]),
+     ["compute"]),
+    (_two_points_doc(terms=5), ["compute"]),
+    (_two_points_doc(terms=["1"]), ["compute"]),
+    (_two_points_doc(degree=[2]), ["compute"]),
+    ({**_two_points_doc(), "n": [1]}, ["compute"]),
+    ({**_two_points_doc(), "equalities": 5}, ["compute"]),
     (_two_points_doc(), FIXED + ["nan"]),
     (_two_points_doc(), FIXED + ["inf"]),
+    (_two_points_doc(), ["compute", "--max-iterations", "0"]),
+    (_two_points_doc(), ["compute", "--max-iterations", "-3"]),
+    (_two_points_doc(), ["condition", "--point", "0,0"]),
+    (_two_points_doc(), ["condition", "--point", "nan,1"]),
+    (_two_points_doc(), ["condition", "--point", "inf,1"]),
 ], ids=["top-level-array", "coeff-overflow", "terms-not-a-list",
         "term-not-an-object", "degree-not-an-integer", "n-not-an-integer",
-        "equalities-not-a-list", "epsilon-nan", "epsilon-inf"])
-def test_cli_malformed_input_is_an_error_not_a_traceback(doc, args, tmp_path,
+        "equalities-not-a-list", "epsilon-nan", "epsilon-inf",
+        "max-iterations-zero", "max-iterations-negative", "point-zero",
+        "point-nan", "point-inf"])
+@pytest.mark.filterwarnings("error")
+def test_cli_malformed_input_is_an_error_not_a_traceback(doc, argv, tmp_path,
                                                           capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
-    assert cli_main(["compute", "--input", str(p)] + args) == 1
+    assert cli_main(argv[:1] + ["--input", str(p)] + argv[1:]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     # one short line, e.g. no coefficient printed as a 400-digit fraction
     assert len(err) < 200 and err.count("\n") == 1
+    if argv[0] == "condition":
+        assert argv[-1] in err
 
 
 def test_emit_result_document_fields():
