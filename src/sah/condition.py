@@ -11,12 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractViolation
 from .linalg import RANK_RTOL
-from .polysys import HomoPoly, HomoSystem, weyl_norm
+from .polysys import HomoSystem, power_table, weyl_norm
 
 UNIT_TOL = 1e-12
 
@@ -56,36 +57,71 @@ def _check_unit(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def residual_and_sigma_min(polys, norm: float, pts: np.ndarray,
-                           project: bool = True):
-    """Residual ratios and Jacobian singular values at many sphere points.
+class Block:
+    """A tuple of polynomials evaluated once at an (N, n+1) block of points.
 
-    For an (N, n+1) array of points returns ||F(x)|| / norm and sigma_q,
-    the q-th singular value of the Jacobian with row i divided by
-    sqrt(deg f_i).  With `project` each row is first projected onto the
-    tangent space x-perp, which has the same nonzero singular values as
-    the restriction of DF(x) to that space.  sigma_q is 0.0 where the
-    matrix is rank-deficient (sigma_q < RANK_RTOL * sigma_1), and sigma is
-    None when q exceeds the dimension the Jacobian acts on (n+1, or n when
-    projected).  `polys` must be nonempty and `norm` its nonzero Weyl norm.
+    One `power_table` serves every polynomial: `values[:, i]` is f_i at
+    each point, and on first use `gradients[:, i]` is the gradient of f_i
+    divided by sqrt(deg f_i), `tangent_gradients[:, i]` that row projected
+    onto the tangent space x-perp.  Every subtuple kernel and the member
+    mask read their rows of these arrays, so no polynomial is evaluated
+    twice at a block.
     """
-    vals = np.column_stack([p.eval_many(pts) for p in polys])
-    resid = np.linalg.norm(vals, axis=1) / norm
-    q = len(polys)
-    if q > pts.shape[1] - project:
+
+    def __init__(self, polys, pts: np.ndarray):
+        self.polys = tuple(polys)
+        self.pts = pts
+        self._table = power_table(
+            pts, max((p.degree for p in self.polys), default=0))
+        self.values = (np.column_stack([p.eval_table(self._table)
+                                        for p in self.polys])
+                       if self.polys else np.zeros((len(pts), 0)))
+
+    def __len__(self) -> int:
+        return len(self.pts)
+
+    @cached_property
+    def gradients(self) -> np.ndarray:
+        return np.stack([p.gradient_table(self._table) * (1.0 / math.sqrt(p.degree))
+                         for p in self.polys], axis=1)
+
+    @cached_property
+    def tangent_gradients(self) -> np.ndarray:
+        jac, pts = self.gradients, self.pts
+        return jac - np.einsum("nqv,nv->nq", jac, pts)[:, :, None] * pts[:, None, :]
+
+
+def residual_and_sigma_min(block: Block, rows, norm: float,
+                           project: bool = True):
+    """Residual ratios and Jacobian singular values of the rows F of a block.
+
+    Returns ||F(x)|| / norm and sigma_q, the q-th singular value of the
+    Jacobian with row i divided by sqrt(deg f_i), at every point of the
+    block.  With `project` the rows are the tangent-projected ones, which
+    give the singular values of the restriction of DF(x) to x-perp.
+    sigma_q is the row norm when q = 1 and comes from a batched SVD
+    otherwise; it is 0.0 where the matrix is rank-deficient
+    (sigma_q < RANK_RTOL * sigma_1), and sigma is None when q exceeds the
+    dimension the Jacobian acts on (n+1, or n when projected).  `rows` must
+    be nonempty and `norm` the nonzero Weyl norm of F.
+    """
+    resid = np.linalg.norm(block.values[:, rows], axis=1) / norm
+    q = len(rows)
+    if q > block.pts.shape[1] - project:
         return resid, None
-    jac = np.stack([p.gradient_many(pts) * (1.0 / math.sqrt(p.degree))
-                    for p in polys], axis=1)
-    if project:
-        jac = jac - np.einsum("nqv,nv->nq", jac, pts)[:, :, None] * pts[:, None, :]
-    svals = np.linalg.svd(jac, compute_uv=False)
-    smax, smin = svals[:, 0], svals[:, q - 1]
+    jac = (block.tangent_gradients if project else block.gradients)[:, rows]
+    if q == 1:
+        smax = smin = np.linalg.norm(jac[:, 0], axis=1)
+    else:
+        svals = np.linalg.svd(jac, compute_uv=False)
+        smax, smin = svals[:, 0], svals[:, q - 1]
     deficient = (smax == 0.0) | (smin < RANK_RTOL * smax)
     return resid, np.where(deficient, 0.0, smin)
 
 
-def kappa_batch(polys, norm: float, pts: np.ndarray) -> np.ndarray:
-    """kappa(F, x) for an (N, n+1) array of unit vectors; the one formula.
+def kappa_batch(block: Block, rows, norm: float) -> np.ndarray:
+    """kappa(F, x) at every point of a block of unit vectors, F the given
+    rows of the block; the one formula.
 
     Harmonic combination of the inverse projective mu and the normalized
     residual: 1 / sqrt((sigma_q / ||F||)^2 + resid^2), with sigma_q taken
@@ -93,11 +129,11 @@ def kappa_batch(polys, norm: float, pts: np.ndarray) -> np.ndarray:
     norm-to-residual ratio in the overdetermined case q > n.  The empty
     system has kappa 1 by convention, the zero system kappa infinity.
     """
-    if not polys:
-        return np.ones(len(pts))
+    if not len(rows):
+        return np.ones(len(block))
     if norm == 0.0:
-        return np.full(len(pts), math.inf)
-    resid, smin = residual_and_sigma_min(polys, norm, pts)
+        return np.full(len(block), math.inf)
+    resid, smin = residual_and_sigma_min(block, rows, norm)
     with np.errstate(divide="ignore", invalid="ignore"):
         if smin is None:
             return np.where(resid == 0.0, math.inf, 1.0 / resid)
@@ -105,15 +141,18 @@ def kappa_batch(polys, norm: float, pts: np.ndarray) -> np.ndarray:
         return np.where(total == 0.0, math.inf, 1.0 / np.sqrt(total))
 
 
-def _mu(polys, x, project: bool) -> float:
+def _one_point(polys, x) -> tuple[Block, range, float]:
+    """The block of one sphere point, all its rows and their Weyl norm."""
     polys = tuple(polys)
-    if not polys:
+    return Block(polys, _check_unit(x)[None, :]), range(len(polys)), weyl_norm(polys)
+
+
+def _mu(block: Block, rows, norm: float, project: bool) -> float:
+    if not len(rows):
         raise ContractViolation("mu is undefined for an empty system")
-    x = _check_unit(x)
-    norm = weyl_norm(polys)
     if norm == 0.0:
         return math.inf
-    _, smin = residual_and_sigma_min(polys, norm, x[None, :], project)
+    _, smin = residual_and_sigma_min(block, rows, norm, project)
     if smin is None or smin[0] == 0.0:
         return math.inf
     return norm / float(smin[0])
@@ -121,12 +160,12 @@ def _mu(polys, x, project: bool) -> float:
 
 def mu_norm(polys, x) -> float:
     """||F|| times the spectral norm of pinv(DF(x)) with degree row-scaling."""
-    return _mu(polys, x, project=False)
+    return _mu(*_one_point(polys, x), project=False)
 
 
 def mu_proj(polys, x) -> float:
     """Variant of mu_norm for the restriction of F to the tangent space at x."""
-    return _mu(polys, x, project=True)
+    return _mu(*_one_point(polys, x), project=True)
 
 
 def kappa(polys, x) -> float:
@@ -135,9 +174,7 @@ def kappa(polys, x) -> float:
     A one-point call of `kappa_batch`, which holds the formula and the
     conventions.
     """
-    polys = tuple(polys)
-    x = _check_unit(x)
-    return float(kappa_batch(polys, weyl_norm(polys), x[None, :])[0])
+    return float(kappa_batch(*_one_point(polys, x))[0])
 
 
 def subtuples(s: int, max_len: int):
@@ -151,27 +188,32 @@ def subtuple_kernels(sys: HomoSystem) -> list[tuple[Subtuple, SubtupleKernel]]:
     """The admissible subtuples L of a system, each with its kernel for F^L.
 
     Admissible subtuples satisfy q + |L| <= n + 1; they come in the order
-    of `subtuples` (by length, then lexicographic).
+    of `subtuples` (by length, then lexicographic).  A kernel's rows index
+    `sys.components`, the polynomials of the system's blocks.
     """
     q = sys.pattern.q
     n = sys.sphere_dim
     if q > n + 1:
         raise ContractViolation("too many equalities for the subtuple maximum")
-    return [(sub, SubtupleKernel(sys.F + tuple(sys.G[i] for i in sub.indices)))
-            for sub in subtuples(sys.pattern.s, n + 1 - q)]
+    comps = sys.components
+    out = []
+    for sub in subtuples(sys.pattern.s, n + 1 - q):
+        rows = tuple(range(q)) + tuple(q + i for i in sub.indices)
+        out.append((sub, SubtupleKernel(rows, weyl_norm(comps[i] for i in rows))))
+    return out
 
 
-def kappa_max_many(kernels, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximum of kappa over `kernels` at each of an (N, n+1) array of points.
+def kappa_max_many(kernels, block: Block) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum of kappa over `kernels` at each point of a block.
 
-    `kernels` is a `subtuple_kernels` list.  Returns the maxima and, per
-    point, the index of the first kernel attaining it (index 0 where every
-    value is NaN).
+    `kernels` is a `subtuple_kernels` list and `block` a `Block` of the
+    system's components.  Returns the maxima and, per point, the index of
+    the first kernel attaining it (index 0 where every value is NaN).
     """
-    best = np.full(len(pts), -math.inf)
-    arg = np.zeros(len(pts), dtype=int)
+    best = np.full(len(block), -math.inf)
+    arg = np.zeros(len(block), dtype=int)
     for i, (_, kern) in enumerate(kernels):
-        vals = kern.kappa_many(pts)
+        vals = kern.kappa_many(block)
         better = vals > best
         best[better] = vals[better]
         arg[better] = i
@@ -185,7 +227,8 @@ def kappa_subtuple_max(sys: HomoSystem, x) -> tuple[float, Subtuple]:
     subtuple attaining it.
     """
     kernels = subtuple_kernels(sys)
-    best, arg = kappa_max_many(kernels, _check_unit(x)[None, :])
+    best, arg = kappa_max_many(kernels,
+                               Block(sys.components, _check_unit(x)[None, :]))
     return float(best[0]), kernels[arg[0]][0]
 
 
@@ -199,19 +242,19 @@ def reach_lower_bound(kappa_star: float, max_degree: int) -> float:
 
 
 def condition_report(polys, x, max_degree: int | None = None) -> ConditionReport:
-    """Bundle of condition diagnostics for a tuple of equalities at x."""
+    """Bundle of condition diagnostics for a tuple of equalities at x,
+    all read from one block."""
     polys = tuple(polys)
-    x = _check_unit(x)
     if max_degree is None:
         max_degree = max((p.degree for p in polys), default=1)
-    k = kappa(polys, x)
-    norm = weyl_norm(polys)
-    resid = (float(residual_and_sigma_min(polys, norm, x[None, :])[0][0])
+    block, rows, norm = _one_point(polys, x)
+    k = float(kappa_batch(block, rows, norm)[0])
+    resid = (float(residual_and_sigma_min(block, rows, norm)[0][0])
              if norm > 0.0 else 0.0)
     return ConditionReport(
         kappa=k,
-        mu_norm=mu_norm(polys, x) if polys else math.inf,
-        mu_proj=mu_proj(polys, x) if polys else math.inf,
+        mu_norm=_mu(block, rows, norm, False) if polys else math.inf,
+        mu_proj=_mu(block, rows, norm, True) if polys else math.inf,
         residual_ratio=resid,
         reach_lower=reach_lower_bound(max(k, 1.0), max_degree),
         dist_to_illposed_lower=0.0 if math.isinf(k) else norm / k,
@@ -219,13 +262,13 @@ def condition_report(polys, x, max_degree: int | None = None) -> ConditionReport
 
 
 class SubtupleKernel:
-    """kappa(F^L, .) on batches of grid points, with the Weyl norm of F^L
-    computed once per scan."""
+    """kappa(F^L, .) on the blocks of a system: the rows of F^L among the
+    block's polynomials and the Weyl norm of F^L, computed once per scan."""
 
-    def __init__(self, polys: tuple[HomoPoly, ...]):
-        self.polys = polys
-        self.norm = weyl_norm(polys)
+    def __init__(self, rows: tuple[int, ...], norm: float):
+        self.rows = rows
+        self.norm = norm
 
-    def kappa_many(self, pts: np.ndarray) -> np.ndarray:
-        """kappa(F^L, x) for an (N, n+1) array of unit vectors."""
-        return kappa_batch(self.polys, self.norm, pts)
+    def kappa_many(self, block: Block) -> np.ndarray:
+        """kappa(F^L, x) at every point of a `Block`."""
+        return kappa_batch(block, self.rows, self.norm)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condition import Subtuple, kappa_max_many, subtuple_kernels
+from .condition import Block, Subtuple, kappa_max_many, subtuple_kernels
 from .errors import ContractViolation
 from .grid import GridSpec, grid_chunks, grid_count
 from .polysys import HomoSystem, weyl_norm_poly
@@ -44,20 +44,27 @@ class CoveringResult:
     audit_hypothesis: float | None = None
 
 
-def approx_member_mask(sys: HomoSystem, r: float, pts: np.ndarray) -> np.ndarray:
-    """Membership in the r-relaxation over an (N, n+1) array of unit vectors.
+def _relaxation_mask(sys: HomoSystem, r: float, values: np.ndarray) -> np.ndarray:
+    """Membership in the r-relaxation from the (N, q+s) component values.
 
     Every equality must satisfy |f(x)| < ||f|| r and every inequality
     g(x) > -||g|| r; both comparisons are strict.
     """
     if r <= 0.0:
         raise ContractViolation("relaxation radius must be positive")
-    mask = np.ones(len(pts), dtype=bool)
-    for f in sys.F:
-        mask &= np.abs(f.eval_many(pts)) < weyl_norm_poly(f) * r
-    for g in sys.G:
-        mask &= g.eval_many(pts) > -weyl_norm_poly(g) * r
+    mask = np.ones(len(values), dtype=bool)
+    q = sys.pattern.q
+    for i, f in enumerate(sys.components):
+        bound = weyl_norm_poly(f) * r
+        mask &= (np.abs(values[:, i]) < bound if i < q
+                 else values[:, i] > -bound)
     return mask
+
+
+def approx_member_mask(sys: HomoSystem, r: float, pts: np.ndarray) -> np.ndarray:
+    """Membership in the r-relaxation over an (N, n+1) array of unit vectors;
+    a one-block call of the scan's comparison."""
+    return _relaxation_mask(sys, r, Block(sys.components, pts).values)
 
 
 def _scan(sys: HomoSystem, r: float) -> dict:
@@ -65,7 +72,9 @@ def _scan(sys: HomoSystem, r: float) -> dict:
 
     Returns the `CoveringResult` fields a pass decides: the subtuple-max
     condition number k*, the first grid point and subtuple attaining it,
-    the grid points in the sqrt(D) r relaxation and the grid size.
+    the grid points in the sqrt(D) r relaxation and the grid size.  Each
+    block of grid points is evaluated once; every subtuple kernel and the
+    member mask read that `Block`.
     """
     if sys.pattern.q > sys.sphere_dim:
         raise ContractViolation("the covering algorithm requires q <= n")
@@ -76,16 +85,17 @@ def _scan(sys: HomoSystem, r: float) -> dict:
     witness = None
     witness_sub = Subtuple(())
     members = []
-    for block in grid_chunks(spec):
+    for pts in grid_chunks(spec):
+        block = Block(sys.components, pts)
         block_max, block_arg = kappa_max_many(kernels, block)
         i = int(np.argmax(block_max))
         if block_max[i] > k_star:
             k_star = float(block_max[i])
-            witness = block[i].copy()
+            witness = pts[i].copy()
             witness_sub = kernels[block_arg[i]][0]
-        mask = approx_member_mask(sys, member_radius, block)
+        mask = _relaxation_mask(sys, member_radius, block.values)
         if mask.any():
-            members.append(block[mask])
+            members.append(pts[mask])
     points = (np.concatenate(members, axis=0) if members
               else np.zeros((0, sys.num_vars)))
     return dict(points=points, r_final=r, k_star=k_star,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractViolation
 
-DEFAULT_CHUNK = 1 << 16
+DEFAULT_CHUNK = 1 << 13
 
 
 def shell_order(n: int, r: float) -> int:

@@ -136,6 +136,9 @@ def homology_algorithm(sys: AffineSystem, opts: RunOptions) -> RunResult:
 # Smallest positive normal float, 2^-1022, and the largest float.
 _NORMAL_MIN = Fraction(1, 2 ** 1022)
 _FLOAT_MAX = Fraction(np.finfo(float).max)
+# Room left at both ends of the float range for the square of the largest
+# coefficient; see `_common_scale`.
+_SQUARE_MARGIN = 2 ** 64
 
 
 def _parse_poly(entry: dict, n: int, where: str) -> tuple[list, int]:
@@ -172,18 +175,31 @@ def _parse_poly(entry: dict, n: int, where: str) -> tuple[list, int]:
 def _common_scale(coeffs: list[Fraction]) -> Fraction:
     """One power of two by which to multiply every coefficient of a system.
 
-    It is 1 unless some nonzero coefficient lies outside the normal float
-    range: below it, it would round to a subnormal or to 0 (x^2 - 1 scaled
-    by 1e-400 would parse as the zero system); above it, it would overflow
-    (x^2 - 1 scaled by 1e400).  Then it is 2^-e with
-    2^(e-1) < max |c| < 2^(e+1), which puts the largest coefficient in
-    (1/2, 2).  A positive factor on every polynomial keeps the zero set and
-    the sign of every inequality, so the solution set does not change.
+    The program squares coefficients: the Weyl norms sum c^2 over the
+    terms, the scaled homogenization appends the system's norm as a
+    coefficient, and residuals and Jacobian rows are norms of values
+    bounded by these.  With B the largest |c| and K the number of terms,
+    each of those squares and sums is at most 2 D K B^2, and each Weyl
+    norm squared is at least B^2 / multinomial(D, a) >= B^2 / (n+1)^D.
+    So the scale is 1 only when every nonzero coefficient is a normal
+    float and B^2 lies in [2^64 * 2^-1022, FLOAT_MAX / 2^64]: any system
+    with 2 D K and (n+1)^D below 2^64, which is every system that fits in
+    memory at a degree that runs, then neither overflows nor underflows.
+    (1e160 x^2 - 1e160 has finite coefficients whose squares overflow;
+    1e-200 x^2 - 1e-200 has normal ones whose squares underflow to a zero
+    norm.)  Otherwise the scale is 2^-e with 2^(e-1) < B < 2^(e+1), which
+    puts B in (1/2, 2).  A positive factor on every polynomial keeps the
+    zero set and the sign of every inequality, so the solution set does
+    not change.
     """
     mags = [abs(c) for c in coeffs if c]
-    if not mags or _NORMAL_MIN <= min(mags) and max(mags) <= _FLOAT_MAX:
+    if not mags:
         return Fraction(1)
     top = max(mags)
+    if (_NORMAL_MIN <= min(mags)
+            and _NORMAL_MIN * _SQUARE_MARGIN <= top * top
+            <= _FLOAT_MAX / _SQUARE_MARGIN):
+        return Fraction(1)
     return Fraction(2) ** (top.denominator.bit_length()
                            - top.numerator.bit_length())
 

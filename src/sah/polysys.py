@@ -79,13 +79,38 @@ def _clean_terms(terms: Terms, num_vars: int, degree: int | None,
     return {e: c for e, c in out.items() if c != 0.0}
 
 
+def power_table(pts: np.ndarray, degree: int) -> np.ndarray:
+    """The powers pts[:, v] ** e for e = 0..degree, as table[v, e].
+
+    Every polynomial and partial derivative evaluated at a block of points
+    reads this one table of shape (n+1, degree+1, N).  `eval_table` must
+    give the values of the per-term product
+    `prod(pts[:, None, :] ** exps, axis=2) @ coeffs` bit for bit, so each
+    entry is what `np.power` of a float and an integer exponent array
+    gives.  For e = 0 and e = 1 that is 1.0 and x exactly (pow is exact
+    on them), so only e >= 2 calls `np.power`, with a full-size exponent
+    array: given one exponent for a whole row, `np.power` squares by
+    x * x, which can differ from pow in the last bit.
+    """
+    dim, count = pts.shape[1], len(pts)
+    table = np.empty((dim, degree + 1, count))
+    table[:, 0] = 1.0
+    if degree >= 1:
+        table[:, 1] = pts.T
+    if degree >= 2:
+        exps = np.broadcast_to(np.arange(2, degree + 1)[:, None],
+                               (dim, degree - 1, count)).copy()
+        np.power(pts.T[:, None, :], exps, out=table[:, 2:])
+    return table
+
+
 class Poly:
     """Core of every sparse polynomial: evaluation, derivatives, substitution.
 
     Variants are frozen dataclasses with fields `num_vars` and `terms`; their
     `__post_init__` calls `_compile` once, which cleans the terms and freezes
     the exponent matrix (rows in sorted order) and the coefficient vector
-    that `eval_many` contracts.  `_lowered` builds a derivative of the same
+    that `eval_table` contracts.  `_lowered` builds a derivative of the same
     variant.
     """
 
@@ -101,15 +126,25 @@ class Poly:
     def __call__(self, x) -> float:
         return float(self.eval_many(np.asarray(x, dtype=float)[None, :])[0])
 
-    def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate at an array of points of shape (N, num_vars)."""
-        if pts.shape[1] != self.num_vars:
+    def eval_table(self, table: np.ndarray) -> np.ndarray:
+        """Evaluate at the N points of a `power_table` of degree at least
+        this polynomial's; the one evaluator."""
+        if table.shape[0] != self.num_vars:
             raise ContractViolation("point arity does not match polynomial")
         if not self.terms:
-            return np.zeros(len(pts))
-        # (N, T) monomial values; exponent matrices are small at desk scale.
-        mono = np.prod(pts[:, None, :] ** self._exps[None, :, :], axis=2)
-        return mono @ self._coeffs
+            return np.zeros(table.shape[2])
+        # (T, N) monomial values, multiplied in variable order; the
+        # contraction runs on the C-ordered (N, T) array, like the
+        # per-term product's, because the order of its sums depends on
+        # the layout
+        mono = table[0][self._exps[:, 0]]
+        for v in range(1, self.num_vars):
+            mono = mono * table[v][self._exps[:, v]]
+        return np.ascontiguousarray(mono.T) @ self._coeffs
+
+    def eval_many(self, pts: np.ndarray) -> np.ndarray:
+        """Evaluate at an array of points of shape (N, num_vars)."""
+        return self.eval_table(power_table(pts, self.degree))
 
     def partial(self, j: int) -> "Poly":
         """Partial derivative with respect to variable j."""
@@ -126,9 +161,13 @@ class Poly:
         """The partial derivatives in every variable, built once."""
         return tuple(self.partial(j) for j in range(self.num_vars))
 
+    def gradient_table(self, table: np.ndarray) -> np.ndarray:
+        """Gradients at the points of a `power_table`, shape (N, num_vars)."""
+        return np.column_stack([d.eval_table(table) for d in self.partials])
+
     def gradient_many(self, pts: np.ndarray) -> np.ndarray:
         """Gradients at an (N, num_vars) array of points, shape (N, num_vars)."""
-        return np.column_stack([d.eval_many(pts) for d in self.partials])
+        return self.gradient_table(power_table(pts, self.degree))
 
     def substitute(self, subs: list[Terms], num_vars: int) -> Terms:
         """Terms of y -> self(s_0(y), ..., s_{k-1}(y)), expanded exactly.

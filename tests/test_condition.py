@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_homo_poly, random_unit
-from sah.condition import (ConditionReport, Subtuple, SubtupleKernel,
-                           condition_report, kappa, kappa_subtuple_max,
-                           mu_norm, mu_proj, reach_lower_bound, subtuples)
+from conftest import (per_term_eval, per_term_gradient, random_homo_poly,
+                      random_unit, sphere_systems)
+from sah.condition import (Block, ConditionReport, Subtuple, SubtupleKernel,
+                           condition_report, kappa, kappa_max_many,
+                           kappa_subtuple_max, mu_norm, mu_proj,
+                           reach_lower_bound, subtuple_kernels, subtuples)
+from sah.covering import approx_member_mask
 from sah.errors import ContractViolation
 from sah.linalg import RANK_RTOL
 from sah.polysys import (DegreePattern, HomoPoly, HomoSystem,
-                         compose_rotation_system, weyl_norm)
+                         compose_rotation_system, weyl_norm, weyl_norm_poly)
 
 
 def linear_x1() -> HomoPoly:
@@ -153,22 +157,20 @@ def test_condition_report_fields():
 
 def tangent_basis(x: np.ndarray) -> np.ndarray:
     """Orthonormal basis of x-perp: the last columns of the Householder
-    reflector that maps e_0 to x."""
-    e0 = np.zeros(len(x))
-    e0[0] = 1.0
-    v = x - e0 if x[0] >= 0.0 else x + e0
-    if np.linalg.norm(v) < 1e-14:
-        return np.eye(len(x))[:, 1:]
+    reflector that maps e_0 to -x or x.  Its vector x +- e_0 takes the sign
+    of x_0, so no cancellation occurs when x is near +-e_0 (the other sign
+    loses digits there: x_0 - 1 carries the rounding of ||x|| - 1)."""
+    v = x.copy()
+    v[0] += 1.0 if x[0] >= 0.0 else -1.0
     v /= np.linalg.norm(v)
-    b = (np.eye(len(x)) - 2.0 * np.outer(v, v))[:, 1:]
-    return -b if x[0] < 0.0 else b
+    return (np.eye(len(x)) - 2.0 * np.outer(v, v))[:, 1:]
 
 
 def reference_sigma(polys, x, project: bool) -> float:
     """sigma_q of the degree-scaled Jacobian, restricted to x-perp through
     an explicit basis when `project`; 0.0 when rank-deficient."""
-    jac = np.array([[p.partial(j)(x) / math.sqrt(p.degree)
-                     for j in range(len(x))] for p in polys])
+    jac = np.array([per_term_gradient(p, x[None, :])[0] / math.sqrt(p.degree)
+                    for p in polys])
     if project:
         jac = jac @ tangent_basis(x)
     s = np.linalg.svd(jac, compute_uv=False)
@@ -177,8 +179,13 @@ def reference_sigma(polys, x, project: bool) -> float:
 
 
 def reference_kappa(polys, x) -> float:
+    if not polys:
+        return 1.0
     norm = weyl_norm(polys)
-    resid = float(np.linalg.norm([p(x) for p in polys])) / norm
+    if norm == 0.0:
+        return math.inf
+    resid = float(np.linalg.norm([per_term_eval(p, x[None, :])[0]
+                                  for p in polys])) / norm
     if len(polys) > len(x) - 1:
         return math.inf if resid == 0.0 else 1.0 / resid
     total = (reference_sigma(polys, x, True) / norm) ** 2 + resid ** 2
@@ -192,14 +199,20 @@ def reference_mu(polys, x, project: bool) -> float:
     return math.inf if smin == 0.0 else weyl_norm(polys) / smin
 
 
+def kernel_kappa(polys, pts) -> np.ndarray:
+    """kappa of all of `polys` through a kernel over one block."""
+    polys = tuple(polys)
+    kern = SubtupleKernel(tuple(range(len(polys))), weyl_norm(polys))
+    return kern.kappa_many(Block(polys, pts))
+
+
 def test_kernel_matches_scalar_kappa(rng):
     # both the batched kernel and the one-point scalar calls against the
     # Householder-basis reference, for q = 1, 2 on S^2
     for q in (1, 2):
         polys = tuple(random_homo_poly(rng, 3, 2) for _ in range(q))
-        kern = SubtupleKernel(polys)
         pts = np.array([random_unit(rng, 3) for _ in range(40)])
-        vals = kern.kappa_many(pts)
+        vals = kernel_kappa(polys, pts)
         for i, x in enumerate(pts):
             want = reference_kappa(polys, x)
             assert vals[i] == pytest.approx(want, rel=1e-9)
@@ -212,10 +225,9 @@ def test_kernel_matches_scalar_kappa(rng):
 
 def test_kernel_overdetermined_and_empty(rng):
     pts = np.array([random_unit(rng, 2) for _ in range(10)])
-    assert np.all(SubtupleKernel(()).kappa_many(pts) == 1.0)
+    assert np.all(kernel_kappa((), pts) == 1.0)
     polys = tuple(random_homo_poly(rng, 2, 2) for _ in range(3))
-    kern = SubtupleKernel(polys)
-    vals = kern.kappa_many(pts)
+    vals = kernel_kappa(polys, pts)
     for i, x in enumerate(pts):
         assert vals[i] == pytest.approx(reference_kappa(polys, x), rel=1e-9)
         assert kappa(polys, x) == pytest.approx(vals[i], rel=1e-9)
@@ -235,5 +247,48 @@ def test_rank_deficient_point_matches_reference():
                                               rel=1e-12)
     want = reference_kappa(polys, x)
     assert kappa(polys, x) == pytest.approx(want, rel=1e-12)
-    assert SubtupleKernel(polys).kappa_many(x[None, :])[0] == pytest.approx(
-        want, rel=1e-12)
+    assert kernel_kappa(polys, x[None, :])[0] == pytest.approx(want, rel=1e-12)
+
+
+def per_term_mask(sys_, r, pts) -> np.ndarray:
+    mask = np.ones(len(pts), dtype=bool)
+    for f in sys_.F:
+        mask &= np.abs(per_term_eval(f, pts)) < weyl_norm_poly(f) * r
+    for g in sys_.G:
+        mask &= per_term_eval(g, pts) > -weyl_norm_poly(g) * r
+    return mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(sphere_systems())
+def test_block_and_kernels_match_the_references(system):
+    # one block of the system against the per-term evaluator and the
+    # Householder/SVD kappa, for every admissible subtuple (the longest
+    # ones are overdetermined on the tangent space)
+    sys_, pts = system
+    comps = sys_.components
+    block = Block(comps, pts)
+    assert np.array_equal(block.values, np.column_stack(
+        [per_term_eval(p, pts) for p in comps]))
+    grads = np.stack([per_term_gradient(p, pts) * (1.0 / math.sqrt(p.degree))
+                      for p in comps], axis=1)
+    assert np.array_equal(block.gradients, grads)
+    assert np.array_equal(block.tangent_gradients, grads - np.einsum(
+        "nqv,nv->nq", grads, pts)[:, :, None] * pts[:, None, :])
+    for r in (0.05, 0.3):
+        assert np.array_equal(approx_member_mask(sys_, r, pts),
+                              per_term_mask(sys_, r, pts))
+    kernels = subtuple_kernels(sys_)
+    want = np.array([[reference_kappa(tuple(comps[i] for i in kern.rows), x)
+                      for x in pts] for _, kern in kernels])
+    for (_, kern), ref in zip(kernels, want):
+        np.testing.assert_allclose(kern.kappa_many(block), ref, rtol=1e-13)
+    best, arg = kappa_max_many(kernels, block)
+    np.testing.assert_allclose(best, want.max(axis=0), rtol=1e-13)
+    # the first maximiser is the reference's wherever the runner-up is not
+    # within rounding of the maximum (a linear form on S^1 has kappa 1
+    # exactly, the empty subtuple's value, up to the last bit)
+    top = np.sort(want, axis=0)
+    clear = (top[-1] > top[-2] * (1.0 + 1e-12) if len(kernels) > 1
+             else np.ones(len(pts), dtype=bool))
+    assert np.array_equal(arg[clear], np.argmax(want, axis=0)[clear])

@@ -1,15 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import sah.condition
 from conftest import annulus_system, two_points_system
-from sah.condition import Subtuple, kappa_subtuple_max
+from sah.condition import Subtuple, kappa_subtuple_max, subtuple_kernels
 from sah.covering import (approx_member_mask, ball_radius, certificate_holds,
                           covering, covering_fixed)
 from sah.errors import ContractViolation
-from sah.grid import GridSpec, grid_points
-from sah.polysys import (DegreePattern, HomoPoly, HomoSystem,
+from sah.grid import GridSpec, grid_chunks, grid_points
+from sah.polysys import (DegreePattern, HomoPoly, HomoSystem, Poly,
                          scaled_homogenization, weyl_norm_poly)
 
 
@@ -148,6 +150,34 @@ def test_first_certified_pass_is_the_fixed_pass_at_one_half(affine):
     assert got.witness_subtuple == want.witness_subtuple
     assert np.array_equal(got.points, want.points)
     assert got.grid_size == want.grid_size
+
+
+def test_scan_evaluates_each_polynomial_once_per_block(monkeypatch):
+    # the annulus has 8 subtuple kernels over 3 components; each block
+    # builds one power table and evaluates each component and each of its
+    # partials once, whatever the number of kernels reading them
+    sys_ = scaled_homogenization(annulus_system())
+    r = 2.0 ** -5
+    blocks = len(list(grid_chunks(GridSpec(sys_.sphere_dim, r))))
+    assert blocks > 1 and len(subtuple_kernels(sys_)) == 8
+    tables, evals = [], Counter()
+    power_table, eval_table = sah.condition.power_table, Poly.eval_table
+
+    def count_table(pts, degree):
+        tables.append(len(pts))
+        return power_table(pts, degree)
+
+    def count_eval(poly, table):
+        evals[id(poly)] += 1
+        return eval_table(poly, table)
+
+    monkeypatch.setattr(sah.condition, "power_table", count_table)
+    monkeypatch.setattr(Poly, "eval_table", count_eval)
+    covering_fixed(sys_, r, 0.15)
+    assert len(tables) == blocks
+    polys = [q for p in sys_.components for q in (p,) + p.partials]
+    assert len(polys) == 3 * (1 + sys_.num_vars)
+    assert evals == Counter({id(q): blocks for q in polys})
 
 
 def test_covering_fixed_audit_value():

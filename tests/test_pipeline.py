@@ -262,6 +262,24 @@ def test_cli_huge_coefficients_are_rescaled_not_an_overflow(tmp_path):
     _assert_scaled_two_points_certify(tmp_path, "1e400")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e160", "1e154", "1e-200"])
+@pytest.mark.filterwarnings("error")
+def test_cli_coefficients_whose_squares_leave_the_float_range_are_rescaled(
+        tmp_path, capsys, scale):
+    # floats whose squares overflow (1e200, 1e160) or underflow (1e-200),
+    # and 1e154, whose square is a float but the sum of two squares in the
+    # Weyl norm is not
+    _assert_scaled_two_points_certify(tmp_path, scale)
+    assert cli_main(["condition", "--input", str(tmp_path / "scaled.json"),
+                     "--point", "1,1"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["kappa"] == pytest.approx(1.0)
+
+
 def test_parse_normal_coefficients_are_not_rescaled(tmp_path):
     doc = _two_points_doc(terms=[{"coeff": "3e-300", "exponents": [2]},
                                  {"coeff": "-1/3", "exponents": [0]}])

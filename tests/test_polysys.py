@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_homo_poly, random_unit, two_points_system
+from conftest import (per_term_eval, per_term_gradient, random_homo_poly,
+                      random_unit, sphere_systems, two_points_system)
 from sah.errors import ContractViolation
 from sah.polysys import (AffinePoly, AffineSystem, DegreePattern, HomoPoly,
                          compose_rotation, dehomogenize_poly, homogenize,
-                         homogenize_poly, multinomial, scaled_homogenization,
-                         system_size, weyl_inner, weyl_norm, weyl_norm_poly)
+                         homogenize_poly, multinomial, power_table,
+                         scaled_homogenization, system_size, weyl_inner,
+                         weyl_norm, weyl_norm_poly)
 
 
 def test_multinomial_values():
@@ -75,6 +78,31 @@ def test_eval_many_matches_scalar(rng):
     vals = h.eval_many(pts)
     for i in range(len(pts)):
         assert vals[i] == pytest.approx(h(pts[i]), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sphere_systems())
+def test_power_table_matches_the_per_term_evaluator(system):
+    # one table of the system's top degree serves every component and
+    # partial, with the per-term product's values bit for bit
+    sys_, pts = system
+    table = power_table(pts, sys_.pattern.max_degree)
+    for p in sys_.components:
+        assert np.array_equal(p.eval_table(table), per_term_eval(p, pts))
+        assert np.array_equal(p.eval_many(pts), per_term_eval(p, pts))
+        assert np.array_equal(p.gradient_table(table),
+                              per_term_gradient(p, pts))
+
+
+def test_power_table_entries():
+    pts = np.array([[0.6, -0.8], [0.0, 1.0]])
+    table = power_table(pts, 3)
+    assert table.shape == (2, 4, 2)
+    assert np.array_equal(table[:, 0], np.ones((2, 2)))
+    assert np.array_equal(table[:, 1], pts.T)
+    assert np.array_equal(table[:, 3], pts.T ** np.full((2, 2), 3))
+    with pytest.raises(ContractViolation):
+        random_homo_poly(np.random.default_rng(0), 3, 2).eval_table(table)
 
 
 def test_partial_matches_finite_differences(rng):
