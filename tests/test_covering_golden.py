@@ -5,7 +5,9 @@ exact k*, audit value, grid size, witness and a SHA-256 of the member
 points, plus the full serialized document of the certified two-points run.
 For the same coverings it pins the Cech nerve at epsilon 0.15 up to
 dimension 3: the simplex count per dimension, a SHA-256 of the simplex
-lists and the boundary_ambiguous flag.  A refactor of the polynomial,
+lists and the boundary_ambiguous flag.  The annulus and the closed disk
+are also pinned at r = 2^-6, where some 200k grid points pass through the
+q = 2 subtuple kernels.  A refactor of the polynomial,
 condition or nerve code must reproduce these bit for bit.  The file was written by running this module as a script:
 
     PYTHONPATH=src python tests/test_covering_golden.py > tests/fixtures/covering_golden.json
@@ -27,18 +29,20 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 GOLDEN = os.path.join(FIXTURES, "covering_golden.json")
 FIXED_NAMES = ("annulus", "circle", "disk_closed", "disk_strict")
 FIXED_R = 0.25
+FINE_NAMES = ("annulus", "disk_closed")
+FINE_R = 2.0 ** -6
 FIXED_EPS = 0.15
 NERVE_MAX_DIM = 3
 
 
-def _fixed_covering(name: str):
+def _fixed_covering(name: str, r: float = FIXED_R):
     sys_ = parse_system(os.path.join(FIXTURES, f"{name}.json"))
     hsys = scaled_homogenization(normalize_strictness(sys_))
-    return covering_fixed(hsys, FIXED_R, FIXED_EPS)
+    return covering_fixed(hsys, r, FIXED_EPS)
 
 
-def _fixed_snapshot(name: str) -> dict:
-    cov = _fixed_covering(name)
+def _fixed_snapshot(name: str, r: float = FIXED_R) -> dict:
+    cov = _fixed_covering(name, r)
     return {
         "k_star": repr(cov.k_star),
         "audit_hypothesis": repr(cov.audit_hypothesis),
@@ -69,6 +73,7 @@ def _certified_document() -> str:
 
 def snapshot() -> dict:
     return {"fixed": {name: _fixed_snapshot(name) for name in FIXED_NAMES},
+            "fine": {name: _fixed_snapshot(name, FINE_R) for name in FINE_NAMES},
             "nerve": {name: _nerve_snapshot(name) for name in FIXED_NAMES},
             "two_points_certified": _certified_document()}
 
@@ -82,6 +87,12 @@ def test_fixed_coverings_are_bit_identical():
     golden = _golden()["fixed"]
     for name in FIXED_NAMES:
         assert _fixed_snapshot(name) == golden[name], name
+
+
+def test_fine_coverings_are_bit_identical():
+    golden = _golden()["fine"]
+    for name in FINE_NAMES:
+        assert _fixed_snapshot(name, FINE_R) == golden[name], name
 
 
 def test_fixed_nerves_are_identical():
