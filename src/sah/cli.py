@@ -35,9 +35,9 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--r", type=float, default=None)
     comp.add_argument("--epsilon", type=float, default=None)
     comp.add_argument("--max-dim", type=int, default=None)
-    comp.add_argument("--max-iterations", type=int,
-                      default=DEFAULT_MAX_ITERATIONS,
-                      help="passes at r = 1/2, 1/4, ...; at least 1")
+    comp.add_argument("--max-iterations", type=int, default=None,
+                      help="certified mode: passes at r = 1/2, 1/4, ...; "
+                      f"at least 1 (default {DEFAULT_MAX_ITERATIONS})")
     comp.add_argument("--output", default=None)
     comp.add_argument("--timing", action="store_true",
                       help="include wall time in the output document")

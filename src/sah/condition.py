@@ -21,6 +21,10 @@ from .polysys import HomoSystem, power_table, weyl_norm
 
 UNIT_TOL = 1e-12
 
+# Relative slack of the Gram bracket on sigma_q^2, in units of the largest
+# Gram eigenvalue; see `gram_sigma_bounds`.
+GRAM_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class Subtuple:
@@ -80,6 +84,21 @@ class Block:
     def __len__(self) -> int:
         return len(self.pts)
 
+    def take(self, idx) -> Block:
+        """The block of the points `idx`: rows of this block's arrays.
+
+        The rows are sliced, never re-evaluated: `eval_table` sums in an
+        order that depends on the number of points, so a new evaluation
+        could differ in the last bit.
+        """
+        sub = object.__new__(Block)
+        sub.polys = self.polys
+        sub.pts = self.pts[idx]
+        sub.values = self.values[idx]
+        sub.gradients = self.gradients[idx]
+        sub.tangent_gradients = self.tangent_gradients[idx]
+        return sub
+
     @cached_property
     def gradients(self) -> np.ndarray:
         return np.stack([p.gradient_table(self._table) * (1.0 / math.sqrt(p.degree))
@@ -89,6 +108,10 @@ class Block:
     def tangent_gradients(self) -> np.ndarray:
         jac, pts = self.gradients, self.pts
         return jac - np.einsum("nqv,nv->nq", jac, pts)[:, :, None] * pts[:, None, :]
+
+
+def _residual(block: Block, rows, norm: float) -> np.ndarray:
+    return np.linalg.norm(block.values[:, rows], axis=1) / norm
 
 
 def residual_and_sigma_min(block: Block, rows, norm: float,
@@ -105,7 +128,7 @@ def residual_and_sigma_min(block: Block, rows, norm: float,
     dimension the Jacobian acts on (n+1, or n when projected).  `rows` must
     be nonempty and `norm` the nonzero Weyl norm of F.
     """
-    resid = np.linalg.norm(block.values[:, rows], axis=1) / norm
+    resid = _residual(block, rows, norm)
     q = len(rows)
     if q > block.pts.shape[1] - project:
         return resid, None
@@ -133,12 +156,50 @@ def kappa_batch(block: Block, rows, norm: float) -> np.ndarray:
         return np.ones(len(block))
     if norm == 0.0:
         return np.full(len(block), math.inf)
-    resid, smin = residual_and_sigma_min(block, rows, norm)
+    return _kappa(*residual_and_sigma_min(block, rows, norm), norm)
+
+
+def _kappa(resid: np.ndarray, smin: np.ndarray | None, norm: float) -> np.ndarray:
+    """The formula of `kappa_batch` from the residual ratios and sigma_q.
+
+    Every operation is correctly rounded and monotone, so the result is
+    antitone in `smin`: bounds on sigma_q give bounds on the computed kappa.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         if smin is None:
             return np.where(resid == 0.0, math.inf, 1.0 / resid)
         total = (smin / norm) ** 2 + resid * resid
         return np.where(total == 0.0, math.inf, 1.0 / np.sqrt(total))
+
+
+def gram_sigma_bounds(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lo <= sigma_2 <= hi on what `residual_and_sigma_min` gives for
+    an (N, 2, m) stack of 2 x m matrices, from their 2 x 2 Gram matrices.
+
+    The Gram eigenvalues lam_min <= lam_max are sigma_2^2 and sigma_1^2 in
+    exact arithmetic.  Forming the Gram and its closed-form eigenvalues
+    errs by a small multiple of eps * lam_max (Weyl's inequality), and the
+    backward-stable SVD gives sigma_2 within a small multiple of
+    eps * sigma_1, so its square is also within a small multiple of
+    eps * lam_max.  `GRAM_SLACK` * lam_max exceeds both by about five
+    orders of magnitude, so sigma_2^2 lies within it of lam_min.  The SVD
+    reports sigma_2 as 0.0 when sigma_2 < RANK_RTOL * sigma_1; the Gram
+    cannot resolve that band, so wherever lam_min minus the slack does not
+    clear it, lo is 0.0.  NaN entries give NaN bounds.
+    """
+    a = np.einsum("nv,nv->n", jac[:, 0], jac[:, 0])
+    b = np.einsum("nv,nv->n", jac[:, 0], jac[:, 1])
+    c = np.einsum("nv,nv->n", jac[:, 1], jac[:, 1])
+    mid = 0.5 * (a + c)
+    half = np.hypot(0.5 * (a - c), b)
+    lam_min, lam_max = mid - half, mid + half
+    slack = GRAM_SLACK * lam_max
+    low = lam_min - slack
+    with np.errstate(invalid="ignore"):
+        unresolved = low <= RANK_RTOL * RANK_RTOL * (lam_max + slack)
+        lo = np.where(unresolved, 0.0, np.sqrt(low))
+        hi = np.sqrt(lam_min + slack)
+    return lo, hi
 
 
 def _one_point(polys, x) -> tuple[Block, range, float]:
@@ -220,6 +281,31 @@ def kappa_max_many(kernels, block: Block) -> tuple[np.ndarray, np.ndarray]:
     return best, arg
 
 
+def block_kappa_max(kernels, block: Block) -> tuple[float, int, int]:
+    """Maximum of kappa over `kernels` and over the points of a block.
+
+    Returns the maximum, the first point attaining it and the first kernel
+    attaining it there: the same numbers as the maximum and first argmax
+    of `kappa_max_many` over the whole block.  Each kernel first brackets
+    its kappa at every point (`SubtupleKernel.kappa_bounds`); the largest
+    lower bound is a threshold no maximiser falls below, so only the
+    points whose upper bound reaches it (or is NaN) can attain the
+    maximum.  `kappa_max_many` then computes the exact values at those
+    candidates, on rows sliced from the block, so the maximiser's value
+    is bit for bit the one the whole block would give.
+    """
+    lo = np.full(len(block), -math.inf)
+    hi = np.full(len(block), -math.inf)
+    for _, kern in kernels:
+        klo, khi = kern.kappa_bounds(block)
+        np.fmax(lo, klo, out=lo)
+        np.maximum(hi, khi, out=hi)
+    candidates = np.flatnonzero(~(hi < np.fmax.reduce(lo)))
+    best, arg = kappa_max_many(kernels, block.take(candidates))
+    i = int(np.argmax(best))
+    return float(best[i]), int(candidates[i]), int(arg[i])
+
+
 def kappa_subtuple_max(sys: HomoSystem, x) -> tuple[float, Subtuple]:
     """Maximum of kappa over the admissible inequality subtuples at x.
 
@@ -272,3 +358,20 @@ class SubtupleKernel:
     def kappa_many(self, block: Block) -> np.ndarray:
         """kappa(F^L, x) at every point of a `Block`."""
         return kappa_batch(block, self.rows, self.norm)
+
+    def kappa_bounds(self, block: Block) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds lo <= kappa_many(block) <= hi at every point of a block.
+
+        Two projected rows take their sigma_2 bounds from the Gram matrix
+        (`gram_sigma_bounds`) and pass them through the formula of
+        `kappa_batch`, whose rounding is monotone.  Every other kernel (the
+        empty one, a zero norm, one row, the overdetermined case and three
+        or more rows) is computed exactly, with lo = hi.
+        """
+        rows, norm = self.rows, self.norm
+        if len(rows) != 2 or norm == 0.0 or block.pts.shape[1] < 3:
+            exact = kappa_batch(block, rows, norm)
+            return exact, exact
+        resid = _residual(block, rows, norm)
+        lo, hi = gram_sigma_bounds(block.tangent_gradients[:, rows])
+        return _kappa(resid, hi, norm), _kappa(resid, lo, norm)

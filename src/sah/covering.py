@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condition import Block, Subtuple, kappa_max_many, subtuple_kernels
+from .condition import Block, Subtuple, block_kappa_max, subtuple_kernels
 from .errors import ContractViolation
 from .grid import GridSpec, grid_chunks, grid_count
 from .polysys import HomoSystem, weyl_norm_poly
@@ -74,7 +74,8 @@ def _scan(sys: HomoSystem, r: float) -> dict:
     condition number k*, the first grid point and subtuple attaining it,
     the grid points in the sqrt(D) r relaxation and the grid size.  Each
     block of grid points is evaluated once; every subtuple kernel and the
-    member mask read that `Block`.
+    member mask read that `Block`, and `block_kappa_max` computes exact
+    kappa values only where the block maximum can be.
     """
     if sys.pattern.q > sys.sphere_dim:
         raise ContractViolation("the covering algorithm requires q <= n")
@@ -87,12 +88,11 @@ def _scan(sys: HomoSystem, r: float) -> dict:
     members = []
     for pts in grid_chunks(spec):
         block = Block(sys.components, pts)
-        block_max, block_arg = kappa_max_many(kernels, block)
-        i = int(np.argmax(block_max))
-        if block_max[i] > k_star:
-            k_star = float(block_max[i])
+        block_max, i, j = block_kappa_max(kernels, block)
+        if block_max > k_star:
+            k_star = block_max
             witness = pts[i].copy()
-            witness_sub = kernels[block_arg[i]][0]
+            witness_sub = kernels[j][0]
         mask = _relaxation_mask(sys, member_radius, block.values)
         if mask.any():
             members.append(pts[mask])

@@ -90,14 +90,13 @@ def grid_chunks(spec: GridSpec, chunk: int = DEFAULT_CHUNK) -> Iterator[np.ndarr
     """The same stream as arrays of shape (k, n+1), k <= chunk."""
     dim = spec.n + 1
     for j, sign, ranges in _faces(spec):
-        first, rest = list(ranges[0]), ranges[1:]
+        first, *rest = (np.arange(rg.start, rg.stop, dtype=float) for rg in ranges)
         # slab along the first free coordinate to bound memory
-        rows_per_slab = max(1, chunk // math.prod(len(rg) for rg in rest))
+        rows_per_slab = max(1, chunk // math.prod(len(ax) for ax in rest))
         for start in range(0, len(first), rows_per_slab):
-            head = first[start:start + rows_per_slab]
-            grids = np.meshgrid(np.array(head), *[np.array(list(rg)) for rg in rest],
+            grids = np.meshgrid(first[start:start + rows_per_slab], *rest,
                                 indexing="ij")
-            free = np.stack([g.ravel() for g in grids], axis=1).astype(float)
+            free = np.stack([g.ravel() for g in grids], axis=1)
             pts = np.empty((len(free), dim))
             pts[:, :j] = free[:, :j]
             pts[:, j] = sign

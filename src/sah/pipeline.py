@@ -38,7 +38,7 @@ class RunOptions:
     r_override: float | None = None
     epsilon_override: float | None = None
     max_dim: int | None = None
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
+    max_iterations: int | None = None
 
     def __post_init__(self):
         if self.mode not in ("certified", "fixed"):
@@ -49,6 +49,8 @@ class RunOptions:
             raise ContractViolation("fixed mode requires both r and epsilon")
         if self.mode == "certified" and (has_r or has_eps):
             raise ContractViolation("certified mode forbids r and epsilon overrides")
+        if self.mode == "fixed" and self.max_iterations is not None:
+            raise ContractViolation("fixed mode runs one pass and forbids max_iterations")
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,9 @@ def homology_algorithm(sys: AffineSystem, opts: RunOptions) -> RunResult:
         return _trivial_result(sys, max_dim, t0)
     hsys = scaled_homogenization(normalize_strictness(sys))
     if opts.mode == "certified":
-        cov = covering(hsys, max_iterations=opts.max_iterations)
+        cov = covering(hsys, max_iterations=(
+            DEFAULT_MAX_ITERATIONS if opts.max_iterations is None
+            else opts.max_iterations))
     else:
         cov = covering_fixed(hsys, opts.r_override, opts.epsilon_override)
         d = hsys.pattern.max_degree

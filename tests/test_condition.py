@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from conftest import (per_term_eval, per_term_gradient, random_homo_poly,
                       random_unit, sphere_systems)
 from sah.condition import (Block, ConditionReport, Subtuple, SubtupleKernel,
-                           condition_report, kappa, kappa_max_many,
-                           kappa_subtuple_max, mu_norm, mu_proj,
-                           reach_lower_bound, subtuple_kernels, subtuples)
+                           block_kappa_max, condition_report, kappa,
+                           kappa_max_many, kappa_subtuple_max, mu_norm,
+                           mu_proj, reach_lower_bound, subtuple_kernels,
+                           subtuples)
 from sah.covering import approx_member_mask
 from sah.errors import ContractViolation
 from sah.linalg import RANK_RTOL
@@ -292,3 +293,82 @@ def test_block_and_kernels_match_the_references(system):
     clear = (top[-1] > top[-2] * (1.0 + 1e-12) if len(kernels) > 1
              else np.ones(len(pts), dtype=bool))
     assert np.array_equal(arg[clear], np.argmax(want, axis=0)[clear])
+
+
+def assert_bounds_bracket(kernels, block):
+    for _, kern in kernels:
+        lo, hi = kern.kappa_bounds(block)
+        exact = kern.kappa_many(block)
+        known = ~np.isnan(exact)
+        assert np.all(lo[known] <= exact[known]), kern.rows
+        assert np.all(exact[known] <= hi[known]), kern.rows
+
+
+def assert_block_max_is_the_whole_blocks(kernels, block):
+    best, arg = kappa_max_many(kernels, block)
+    i = int(np.argmax(best))
+    assert block_kappa_max(kernels, block) == (best[i], i, arg[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sphere_systems())
+def test_gram_bounds_pick_the_block_maximum(system):
+    # every kernel's bounds bracket its exact kappa, and the maximum over
+    # the candidates is the whole block's, bit for bit
+    sys_, pts = system
+    kernels = subtuple_kernels(sys_)
+    block = Block(sys_.components, pts)
+    assert_bounds_bracket(kernels, block)
+    assert_block_max_is_the_whole_blocks(kernels, block)
+
+
+def tilted_pair(angle: float) -> tuple[HomoPoly, HomoPoly]:
+    """X_1 and cos(a) X_1 + sin(a) X_2 on S^2: both vanish at e_0, where
+    their tangent gradients meet at the angle a."""
+    return (HomoPoly(3, 1, {(0, 1, 0): 1.0}),
+            HomoPoly(3, 1, {(0, 1, 0): math.cos(angle),
+                            (0, 0, 1): math.sin(angle)}))
+
+
+@pytest.mark.parametrize("angle", [1e-6, 3e-6, 1e-11, 4e-11])
+def test_gram_bounds_at_near_deficient_points(angle, rng):
+    # at 1e-6 sigma_2 / sigma_1 is far below what the Gram resolves but
+    # above RANK_RTOL; at 1e-11 the SVD calls the pair rank-deficient
+    polys = tilted_pair(angle)
+    pts = np.vstack([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]
+                     + 1e-9 * rng.standard_normal((31, 3))])
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    kern = SubtupleKernel((0, 1), weyl_norm(polys))
+    block = Block(polys, pts)
+    assert_bounds_bracket([(Subtuple(()), kern)], block)
+    assert_block_max_is_the_whole_blocks([(Subtuple(()), kern)], block)
+    exact = kern.kappa_many(block)[0]
+    assert math.isinf(exact) == (angle < RANK_RTOL)
+
+
+def test_gram_bounds_at_the_rank_deficient_point():
+    # criterion 5's point, with two random points of the same block
+    f1 = HomoPoly(3, 1, {(1, 0, 0): 1.0, (0, 1, 0): 1.0})
+    f2 = HomoPoly(3, 2, {(0, 2, 0): 1.0, (0, 0, 2): 1.0, (1, 1, 0): 1.0})
+    sys_ = HomoSystem((f1,), (f2,), DegreePattern((1, 2), 1, 1))
+    pts = np.array([[1.0, 0.0, 0.0], [0.6, 0.0, 0.8], [0.0, 0.6, -0.8]])
+    kernels = subtuple_kernels(sys_)
+    block = Block(sys_.components, pts)
+    assert_bounds_bracket(kernels, block)
+    assert_block_max_is_the_whole_blocks(kernels, block)
+    assert kernels[1][1].kappa_many(block)[0] == pytest.approx(
+        reference_kappa((f1, f2), pts[0]), rel=1e-12)
+
+
+def test_take_slices_the_evaluated_rows(rng):
+    # one point evaluated on its own sums in another order than in a block
+    # of 8192, so a re-evaluation would change last bits here
+    polys = (random_homo_poly(rng, 3, 3), random_homo_poly(rng, 3, 2))
+    pts = rng.standard_normal((8192, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    block = Block(polys, pts)
+    for idx in [np.arange(0, 8192, 7)] + [[i] for i in range(0, 8192, 512)]:
+        sub = block.take(idx)
+        for name in ("pts", "values", "gradients", "tangent_gradients"):
+            assert np.array_equal(getattr(sub, name),
+                                  getattr(block, name)[idx]), name

@@ -180,6 +180,25 @@ def test_scan_evaluates_each_polynomial_once_per_block(monkeypatch):
     assert evals == Counter({id(q): blocks for q in polys})
 
 
+def test_the_svd_runs_only_at_candidate_points(monkeypatch):
+    # the annulus has three kernels of two projected rows on S^2; the
+    # Gram bounds leave fewer than 1% of their matrices for the SVD
+    sys_ = scaled_homogenization(annulus_system())
+    r = 2.0 ** -5
+    pairs = [k for _, k in subtuple_kernels(sys_) if len(k.rows) == 2]
+    assert len(pairs) == 3
+    matrices = []
+    svd = np.linalg.svd
+
+    def count_svd(a, *args, **kwargs):
+        matrices.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", count_svd)
+    res = covering_fixed(sys_, r, 0.15)
+    assert 0 < sum(matrices) < 0.01 * res.grid_size * len(pairs)
+
+
 def test_covering_fixed_audit_value():
     hsys = scaled_homogenization(two_points_system())
     res = covering_fixed(hsys, 0.125, 0.3)

@@ -26,6 +26,9 @@ def test_run_options_validation():
     with pytest.raises(ContractViolation):
         RunOptions(mode="certified", r_override=0.25)
     with pytest.raises(ContractViolation):
+        RunOptions(mode="fixed", r_override=0.25, epsilon_override=0.15,
+                   max_iterations=3)
+    with pytest.raises(ContractViolation):
         RunOptions(mode="nonsense")
 
 
@@ -141,13 +144,15 @@ FIXED = ["compute", "--mode", "fixed", "--r", "0.25", "--epsilon"]
     (_two_points_doc(), FIXED + ["inf"]),
     (_two_points_doc(), ["compute", "--max-iterations", "0"]),
     (_two_points_doc(), ["compute", "--max-iterations", "-3"]),
+    (_two_points_doc(), FIXED + ["0.1", "--max-iterations", "3"]),
     (_two_points_doc(), ["condition", "--point", "0,0"]),
     (_two_points_doc(), ["condition", "--point", "nan,1"]),
     (_two_points_doc(), ["condition", "--point", "inf,1"]),
 ], ids=["top-level-array", "coeff-overflow", "terms-not-a-list",
         "term-not-an-object", "degree-not-an-integer", "n-not-an-integer",
         "equalities-not-a-list", "epsilon-nan", "epsilon-inf",
-        "max-iterations-zero", "max-iterations-negative", "point-zero",
+        "max-iterations-zero", "max-iterations-negative",
+        "fixed-max-iterations", "point-zero",
         "point-nan", "point-inf"])
 @pytest.mark.filterwarnings("error")
 def test_cli_malformed_input_is_an_error_not_a_traceback(doc, argv, tmp_path,
