@@ -1,15 +1,22 @@
 """Integer simplicial homology by unit-pivot reduction with clearing.
 
 Boundary matrices are built with the usual alternating signs over sorted
-vertex tuples.  Each boundary matrix d_k is reduced column by column over
-Z, eliminating only pivots equal to +-1 (`unit_pivot_reduction`); boundary
-matrices of nerves are dominated by such pivots (Dumas, Heckenbach,
-Saunders and Welker, 2003), and eliminating them is unimodular.  The
-degrees are reduced from the top down, so that the columns of d_k already
-known to be redundant from d_{k+1} are never touched (the "twist" of Chen
-and Kerber, 2011).  Whatever the unit pivots leave over goes to
-`smith_normal_form`, a dense textbook Smith reduction with
-arbitrary-precision integers, which keeps the torsion exact.
+vertex tuples.  A matrix and its transpose have the same Smith normal
+form, so the ranks and the torsion over Z can be read off the coboundary
+delta_k = d_{k+1}^T as well as off d_{k+1}.  Each delta_k is reduced
+column by column, that is d_{k+1} row by row, over Z, eliminating only
+pivots equal to +-1 (`unit_pivot_reduction`); boundary matrices of nerves
+are dominated by such pivots (Dumas, Heckenbach, Saunders and Welker,
+2003), and eliminating them is unimodular.  The degrees are reduced from
+0 up, so that the k-simplices already known to be redundant from
+delta_{k-1} are never touched: clearing (Chen and Kerber, 2011) in the
+cohomology order (de Silva, Morozov and Vejdemo-Johansson, "Dualities in
+persistent (co)homology", 2011; Bauer, "Ripser", 2021).  Top-down,
+clearing cannot help the top degree, whose columns mostly reduce to zero;
+bottom-up, nearly every coboundary that is reduced becomes a pivot.
+Whatever the unit pivots leave over goes to `smith_normal_form`, a dense
+textbook Smith reduction with arbitrary-precision integers, which keeps
+the torsion exact.
 """
 
 from __future__ import annotations
@@ -126,80 +133,75 @@ def unit_pivot_reduction(mat: BoundaryMatrix,
                          ) -> tuple[set[int], BoundaryMatrix]:
     """Split off the unit pivots: SNF(mat) = 1^{#pivots} + SNF(R).
 
-    Returns the pivot rows and the residual block R.  Columns listed in
-    `cleared` are skipped; see `homology_of_complex` for when that is
-    exact.
+    The rows of mat are reduced: row i of d_{k+1} is the coboundary of the
+    k-simplex i.  Returns the pivot columns and the residual block R.
+    Rows listed in `cleared` are skipped; see `homology_of_complex` for
+    when that is exact.  mat is left as it was: each subtraction makes a
+    new row, and rows that no subtraction touches are shared, not copied.
 
-    Pivot pass.  The columns are taken in order, and each is reduced by its
-    lowest nonzero row, the one of largest index (its "low"), against the
-    earlier pivot columns: while the low row already owns a pivot column p,
-    subtract c * p with c = col[low] * p[low].  Since p[low] = +-1, this c
-    is the exact integer quotient and the low entry cancels.  A column
-    whose low entry ends up +-1 becomes the pivot of that row; a column
-    that reduces to zero is dropped; any other column is set aside as
-    residual.  Every step adds an integer multiple of an earlier column to
-    a later one, so the matrix is only multiplied on the right by a
-    unimodular matrix.
+    Pivot pass.  The rows are taken in order, and each is reduced by its
+    last nonzero column, the one of largest index (its "low"), against the
+    earlier pivot rows: while the low column already owns a pivot row p,
+    subtract c * p with c = row[low] * p[low].  Since p[low] = +-1, this c
+    is the exact integer quotient and the low entry cancels.  A row whose
+    low entry ends up +-1 becomes the pivot of that column; a row that
+    reduces to zero is dropped; any other row is set aside as residual.
+    Every step adds an integer multiple of an earlier row to a later one,
+    so the matrix is only multiplied on the left by a unimodular matrix.
 
-    Residual block.  Each residual column is then cleared on every pivot
-    row, bottom-up: the pivot column of row i has no entries below i, so
-    subtracting it to clear row i leaves the rows below i (already
-    cleared) untouched.  The matrix now has pivot columns P, residual
-    columns Q that vanish on the pivot rows, and zero columns.  With rows
-    ordered pivot rows first, it reads [[P_1, 0], [P_2, R]], where R is Q
-    restricted to the other rows.  P_1 is square and, ordered by low row,
-    triangular with +-1 on the diagonal, so it is unimodular.  The row
-    operation [[I, 0], [-P_2 P_1^{-1}, I]] is unimodular too; it clears P_2
-    and leaves R, because Q is zero on the pivot rows.  Column operations
-    by P_1^{-1} turn P_1 into the identity, so SNF(mat) = 1^{#P} + SNF(R).
-    Rows of R that are zero are dropped, as they carry no invariant
-    factor.
+    Residual block.  Each residual row is then cleared on every pivot
+    column, right to left: the pivot row of column j has no entries right
+    of j, so subtracting it to clear column j leaves the columns right of
+    j (already cleared) untouched.  The matrix now has pivot rows P,
+    residual rows Q that vanish on the pivot columns, and zero rows.  With
+    columns ordered pivot columns first, it reads [[P_1, P_2], [0, R]],
+    where R is Q restricted to the other columns.  P_1 is square and,
+    ordered by low column, triangular with +-1 on the diagonal, so it is
+    unimodular.  The column operation [[I, -P_1^{-1} P_2], [0, I]] is
+    unimodular too; it clears P_2 and leaves R, because Q is zero on the
+    pivot columns.  Row operations by P_1^{-1} turn P_1 into the identity,
+    so SNF(mat) = 1^{#P} + SNF(R).  Columns of R that are zero are
+    dropped, as they carry no invariant factor.
     """
-    cols: list[dict[int, int]] = [{} for _ in range(mat.num_cols)]
-    for i, row in enumerate(mat.rows):
-        for j, v in row.items():
-            cols[j][i] = v
     pivots: dict[int, dict[int, int]] = {}
     residual: list[dict[int, int]] = []
-    for j, col in enumerate(cols):
-        if j in cleared:
+    for i, row in enumerate(mat.rows):
+        if i in cleared:
             continue
-        while col:
-            low = max(col)
-            piv = pivots.get(low)
-            if piv is None:
-                break
-            _subtract(col, piv, col[low] * piv[low])
-        if not col:
+        while row and (piv := pivots.get(low := max(row))) is not None:
+            row = _subtract(row, piv, row[low] * piv[low])
+        if not row:
             continue
-        if col[low] in (1, -1):
-            pivots[low] = col
+        if row[low] in (1, -1):
+            pivots[low] = row
         else:
-            residual.append(col)
-    for col in residual:
-        while True:
-            low = max((i for i in col if i in pivots), default=None)
-            if low is None:
-                break
+            residual.append(row)
+    for n, row in enumerate(residual):
+        while (low := max((j for j in row if j in pivots),
+                          default=None)) is not None:
             piv = pivots[low]
-            _subtract(col, piv, col[low] * piv[low])
-    used = sorted({i for col in residual for i in col})
-    index = {i: r for r, i in enumerate(used)}
-    block = BoundaryMatrix(len(used), len(residual))
-    for j, col in enumerate(residual):
-        for i, v in col.items():
-            block.rows[index[i]][j] = v
+            row = _subtract(row, piv, row[low] * piv[low])
+        residual[n] = row
+    used = sorted({j for row in residual for j in row})
+    index = {j: c for c, j in enumerate(used)}
+    block = BoundaryMatrix(len(residual), len(used),
+                           [{index[j]: v for j, v in row.items()}
+                            for row in residual])
     return set(pivots), block
 
 
-def _subtract(col: dict[int, int], piv: dict[int, int], c: int) -> None:
-    """col -= c * piv on sparse columns, dropping entries that cancel."""
-    for i, v in piv.items():
-        w = col.get(i, 0) - c * v
+def _subtract(row: dict[int, int], piv: dict[int, int],
+              c: int) -> dict[int, int]:
+    """row - c * piv on sparse rows, as a new dict without the entries
+    that cancel; row itself is left as it was."""
+    out = dict(row)
+    for j, v in piv.items():
+        w = out.get(j, 0) - c * v
         if w:
-            col[i] = w
+            out[j] = w
         else:
-            del col[i]
+            del out[j]
+    return out
 
 
 @dataclass(frozen=True)
@@ -227,38 +229,40 @@ def homology_of_complex(complex_: SimplicialComplex,
     """Integer homology of the complex up to its dimension (or max_degree).
 
     betti_k = (#k-simplices) - rank d_k - rank d_{k+1}; torsion in degree k
-    comes from the invariant factors of d_{k+1}.  Each d_k goes through
+    comes from the invariant factors of d_{k+1}.  The coboundary
+    delta_k = d_{k+1}^T has the same invariant factors, and it is delta_k
+    that is reduced, for k = 0, 1, ...: the rows of d_{k+1} go through
     `unit_pivot_reduction`, and its residual block through
     `smith_normal_form`.
 
-    Clearing.  The degrees are reduced from the top down, and the reduction
-    of d_k skips the columns whose k-simplices are pivot rows of d_{k+1}.
-    This leaves the invariant factors of d_k unchanged.  A pivot column c
-    of the reduced d_{k+1} with low row sigma is d_{k+1} u for an integer
-    vector u, so d_k c = d_k d_{k+1} u = 0.  Its entry at sigma is +-1 and
-    its other entries lie on rows of smaller index, so column sigma of d_k is
-    an integer combination of the columns of d_k with smaller index.  By
-    induction on sigma, every skipped column is an integer combination of
-    the kept ones.  Dropping them leaves the lattice spanned by the
-    columns, hence the rank and the cokernel Z^m / im d_k, hence the
-    invariant factors, as they were.
+    Clearing.  The reduction of delta_k skips the k-simplices that are
+    pivot columns of the reduced delta_{k-1}.  This leaves the invariant
+    factors of delta_k unchanged.  A reduced coboundary c = delta_{k-1} u
+    with low sigma, for an integer vector u, has delta_k c =
+    delta_k delta_{k-1} u = 0.  Its entry at sigma is +-1 and its other
+    entries lie at k-simplices of smaller index, so the coboundary of
+    sigma is an integer combination of the coboundaries of k-simplices
+    with smaller index.  By induction on sigma, every skipped coboundary
+    is an integer combination of the kept ones.  Dropping them leaves the
+    lattice spanned by the rows of d_{k+1}, hence its rank and invariant
+    factors, as they were.
     """
+    if max_degree is not None and max_degree < 0:
+        raise ContractViolation("max_degree must be nonnegative")
     top = complex_.dimension
     if top < 0:
         return HomologyGroups((), ())
-    if max_degree is None:
-        max_degree = top
-    last = min(top, max_degree)
+    last = top if max_degree is None else min(top, max_degree)
     ranks = [0] * (last + 2)
-    torsion: list[tuple[int, ...]] = [()] * (last + 2)
+    torsion: list[tuple[int, ...]] = [()] * (last + 1)
     cleared: set[int] = set()
-    for k in range(last + 1, 0, -1):
-        d_k = boundary_matrix(complex_, k)
-        pivot_rows, residual = unit_pivot_reduction(d_k, cleared)
+    for k in range(last + 1):
+        pivots, residual = unit_pivot_reduction(
+            boundary_matrix(complex_, k + 1), cleared)
         factors = smith_normal_form(residual)
-        ranks[k] = len(pivot_rows) + len(factors)
+        ranks[k + 1] = len(pivots) + len(factors)
         torsion[k] = tuple(d for d in factors if d > 1)
-        cleared = pivot_rows
+        cleared = pivots
     betti = tuple(complex_.simplex_count(k) - ranks[k] - ranks[k + 1]
                   for k in range(last + 1))
-    return HomologyGroups(betti, tuple(torsion[1:]))
+    return HomologyGroups(betti, tuple(torsion))

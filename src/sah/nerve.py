@@ -132,11 +132,13 @@ def cech_nerve(points: np.ndarray, epsilon: float,
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ContractViolation("points must form a 2d array")
-    if epsilon <= 0.0:
-        raise ContractViolation("epsilon must be positive")
+    if not 0.0 < epsilon < np.inf:
+        raise ContractViolation("epsilon must be positive and finite")
     npts = len(pts)
     if max_dim is None:
         max_dim = pts.shape[1]
+    if max_dim < 0:
+        raise ContractViolation("max_dim must be nonnegative")
     complex_ = SimplicialComplex(num_vertices=npts)
     complex_.simplices[0] = [(i,) for i in range(npts)]
     if max_dim == 0 or npts < 2:

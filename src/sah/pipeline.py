@@ -92,7 +92,14 @@ def _trivial_result(sys: AffineSystem, max_dim: int, t0: float) -> RunResult:
 
 
 def homology_algorithm(sys: AffineSystem, opts: RunOptions) -> RunResult:
-    """Run the full pipeline on an affine basic semialgebraic system."""
+    """Run the full pipeline on an affine basic semialgebraic system.
+
+    The nerve is built only up to dimension min(max_dim, n + 1), and the
+    degrees from n + 1 on are reported as 0.  The covering points lie in
+    R^{n+1}, and the union of closed balls around them is compact there,
+    so its H_k vanishes for k >= n + 1 (Alexander duality); by the nerve
+    theorem the nerve is homotopy equivalent to that union.
+    """
     t0 = time.perf_counter()
     max_dim = opts.max_dim if opts.max_dim is not None else sys.n + 1
     if max_dim < 1:
@@ -118,9 +125,10 @@ def homology_algorithm(sys: AffineSystem, opts: RunOptions) -> RunResult:
     homology = None
     ambiguous = False
     if cov.certified or opts.mode == "fixed":
-        nerve = cech_nerve(cov.points, cov.epsilon, max_dim=max_dim)
+        top = min(max_dim, sys.n + 1)
+        nerve = cech_nerve(cov.points, cov.epsilon, max_dim=top)
         ambiguous = nerve.boundary_ambiguous
-        groups = homology_of_complex(nerve, max_degree=max_dim - 1)
+        groups = homology_of_complex(nerve, max_degree=top - 1)
         betti = list(groups.betti) + [0] * (max_dim - len(groups.betti))
         torsion = list(groups.torsion) + [()] * (max_dim - len(groups.torsion))
         homology = HomologyGroups(tuple(betti[:max_dim]),

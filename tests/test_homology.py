@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -6,11 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sah.homology
+from conftest import fixture_path
+from sah.covering import covering_fixed
 from sah.errors import ContractViolation
 from sah.homology import (BoundaryMatrix, HomologyGroups, boundary_matrix,
                           homology_of_complex, smith_normal_form,
                           unit_pivot_reduction)
-from sah.nerve import SimplicialComplex
+from sah.nerve import SimplicialComplex, cech_nerve
+from sah.pipeline import normalize_strictness, parse_system
+from sah.polysys import scaled_homogenization
 
 
 def full_complex(vertices: tuple[int, ...]) -> SimplicialComplex:
@@ -208,9 +214,37 @@ def test_empty_complex():
     assert h.betti == ()
 
 
-def rank_and_torsion(mat: BoundaryMatrix) -> tuple[int, tuple[int, ...]]:
-    """Unit pivots (without clearing), then the SNF of the residual block."""
-    pivot_rows, residual = unit_pivot_reduction(mat)
+def test_negative_max_degree_is_rejected():
+    with pytest.raises(ContractViolation):
+        homology_of_complex(hollow_triangle(), max_degree=-1)
+
+
+def test_annulus_nerve_reduces_few_rows(monkeypatch):
+    """Bottom-up clearing leaves almost every reduced coboundary a pivot:
+    the top-down reduction of d_3, d_2, d_1 made 296,569 subtractions on
+    this nerve (532/4,968/18,064/37,652 simplices)."""
+    sys_ = parse_system(fixture_path("annulus.json"))
+    cov = covering_fixed(scaled_homogenization(normalize_strictness(sys_)),
+                         0.25, 0.15)
+    nerve = cech_nerve(cov.points, cov.epsilon, max_dim=3)
+    calls = []
+    subtract = sah.homology._subtract
+
+    def counting(*args):
+        calls.append(None)
+        return subtract(*args)
+
+    monkeypatch.setattr(sah.homology, "_subtract", counting)
+    h = homology_of_complex(nerve, max_degree=2)
+    assert h.betti == (1, 1, 0)
+    assert len(calls) < 3000
+
+
+def rank_and_torsion(mat: BoundaryMatrix,
+                     cleared: frozenset[int] = frozenset()
+                     ) -> tuple[int, tuple[int, ...]]:
+    """Unit pivots, then the SNF of the residual block."""
+    pivot_rows, residual = unit_pivot_reduction(mat, cleared)
     factors = smith_normal_form(residual)
     return len(pivot_rows) + len(factors), tuple(d for d in factors if d > 1)
 
@@ -271,6 +305,18 @@ def test_homology_agrees_with_full_snf(complex_, max_degree):
                 == full_snf_homology(complex_, max_degree))
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_complexes())
+def test_clearing_changes_nothing(complex_):
+    """Skipping the pivots of delta_{k-1} keeps rank and torsion of
+    delta_k."""
+    cleared: set[int] = set()
+    for k in range(complex_.dimension):
+        d = boundary_matrix(complex_, k + 1)
+        assert rank_and_torsion(d, cleared) == rank_and_torsion(d)
+        cleared, _ = unit_pivot_reduction(d, cleared)
+
+
 @st.composite
 def small_matrices(draw):
     nr, nc = draw(st.integers(1, 7)), draw(st.integers(1, 7))
@@ -290,11 +336,25 @@ def test_rank_and_torsion_agree_with_full_snf(mat):
         assert smith_normal_form(mat) == gcd_minors_snf(mat.dense())
 
 
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+def test_rank_and_torsion_of_the_transpose_and_input_left_intact(mat):
+    rows = copy.deepcopy(mat.rows)
+    transpose = BoundaryMatrix(mat.num_cols, mat.num_rows)
+    for i, row in enumerate(mat.rows):
+        for j, v in row.items():
+            transpose.rows[j][i] = v
+    assert rank_and_torsion(mat) == rank_and_torsion(transpose)
+    assert mat.rows == rows
+
+
 def test_rp2_leaves_a_residual_block_with_the_torsion():
     d2 = boundary_matrix(rp2_complex(), 2)
     pivot_rows, residual = unit_pivot_reduction(d2)
     assert len(pivot_rows) == 9
-    assert residual.num_cols == 1
+    # three edge rows left over, on the one face column without a pivot
+    assert (residual.num_rows, residual.num_cols) == (3, 1)
+    assert all(row[0] in (2, -2) for row in residual.rows)
     assert smith_normal_form(residual) == [2]
     assert rank_and_torsion(d2) == (10, (2,))
 

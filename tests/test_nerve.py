@@ -202,6 +202,13 @@ def test_nerve_validation():
         cech_nerve(np.zeros((2, 2)), 0.0)
 
 
+@pytest.mark.parametrize("epsilon, max_dim", [
+    (math.nan, None), (math.inf, None), (1.0, -1)])
+def test_nerve_rejects_nan_inf_and_a_negative_cap(epsilon, max_dim):
+    with pytest.raises(ContractViolation):
+        cech_nerve(np.zeros((2, 2)), epsilon, max_dim=max_dim)
+
+
 def test_simplicial_complex_closure_check():
     bad = SimplicialComplex(3, {0: [(0,), (1,), (2,)], 1: [(0, 1)],
                                 2: [(0, 1, 2)]})

@@ -7,10 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+import sah.pipeline
 from conftest import disk_system, fixture_path, two_points_system
 from sah.cli import main as cli_main
 from sah.condition import kappa_subtuple_max
 from sah.errors import ContractViolation, ParseError
+from sah.nerve import cech_nerve
 from sah.pipeline import (RunOptions, emit_result, homology_algorithm,
                           normalize_strictness, parse_system,
                           serialize_result, system_to_document)
@@ -315,3 +317,37 @@ def test_cli_condition_reports_the_subtuple_maximum(capsys):
     assert doc["kappa_subtuple_max"] == want
     assert doc["subtuple"] == list(sub.indices)
     assert 1.0 < doc["kappa_subtuple_max"] < math.inf
+
+
+def test_degrees_above_n_are_zero_without_building_their_simplices(
+        monkeypatch):
+    """--max-dim 4 on the annulus (n = 2) writes the document the full
+    nerve gave, while the nerve stops at dimension n + 1 = 3."""
+    nerves = []
+
+    def recording(*args, **kwargs):
+        nerves.append(cech_nerve(*args, **kwargs))
+        return nerves[-1]
+
+    monkeypatch.setattr(sah.pipeline, "cech_nerve", recording)
+    res = homology_algorithm(
+        parse_system(fixture_path("annulus.json")),
+        RunOptions(mode="fixed", r_override=0.25, epsilon_override=0.15,
+                   max_dim=4))
+    assert [nerve.dimension for nerve in nerves] == [3]
+    expected = {
+        "audit_hypothesis": 876.6333333333336,
+        "betti": [1, 1, 0, 0],
+        "certified": False,
+        "epsilon": 0.15,
+        "grid_size": "866",
+        "iterations": 0,
+        "k_star": 8.211780156174015,
+        "max_dim": 4,
+        "num_points": 532,
+        "r": 0.25,
+        "torsion": [[], [], [], []],
+        "wall_time_ms": None,
+    }
+    assert serialize_result(res) == json.dumps(expected, indent=2,
+                                               sort_keys=True) + "\n"
