@@ -198,15 +198,10 @@ def test_nerve_max_dim_cap(rng):
 
 
 def test_nerve_validation():
-    with pytest.raises(ContractViolation):
-        cech_nerve(np.zeros((2, 2)), 0.0)
-
-
-@pytest.mark.parametrize("epsilon, max_dim", [
-    (math.nan, None), (math.inf, None), (1.0, -1)])
-def test_nerve_rejects_nan_inf_and_a_negative_cap(epsilon, max_dim):
-    with pytest.raises(ContractViolation):
-        cech_nerve(np.zeros((2, 2)), epsilon, max_dim=max_dim)
+    for epsilon, max_dim in ((0.0, None), (math.nan, None),
+                             (math.inf, None), (1.0, -1)):
+        with pytest.raises(ContractViolation):
+            cech_nerve(np.zeros((2, 2)), epsilon, max_dim=max_dim)
 
 
 def test_simplicial_complex_closure_check():
