@@ -16,7 +16,7 @@ import numpy as np
 from .condition import condition_report, kappa_subtuple_max
 from .covering import DEFAULT_MAX_ITERATIONS
 from .errors import ContractViolation, ParseError
-from .grid import GridSpec, grid_count, grid_stream
+from .grid import grid_chunks, grid_count, shell_order
 from .pipeline import (RunOptions, homology_algorithm, parse_system,
                        serialize_result)
 from .polysys import scaled_homogenization
@@ -95,12 +95,13 @@ def _cmd_condition(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    spec = GridSpec(args.n, args.r)
+    m = shell_order(args.n, args.r)
     if args.count_only:
-        print(grid_count(spec))
+        print(grid_count(args.n, m))
         return 0
-    for pt in grid_stream(spec):
-        print(" ".join(f"{v:.17g}" for v in pt))
+    for pts in grid_chunks(args.n, m):
+        for pt in pts:
+            print(" ".join(f"{v:.17g}" for v in pt))
     return 0
 
 

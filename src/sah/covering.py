@@ -16,7 +16,7 @@ import numpy as np
 
 from .condition import Block, Subtuple, block_kappa_max, subtuple_kernels
 from .errors import ContractViolation
-from .grid import GridSpec, grid_chunks, grid_count
+from .grid import grid_chunks, grid_count, shell_order
 from .polysys import HomoSystem, weyl_norm_poly
 
 DEFAULT_MAX_ITERATIONS = 60
@@ -79,14 +79,14 @@ def _scan(sys: HomoSystem, r: float) -> dict:
     """
     if sys.pattern.q > sys.sphere_dim:
         raise ContractViolation("the covering algorithm requires q <= n")
-    spec = GridSpec(sys.sphere_dim, r)
+    n, m = sys.sphere_dim, shell_order(sys.sphere_dim, r)
     member_radius = math.sqrt(sys.pattern.max_degree) * r
     kernels = subtuple_kernels(sys)
     k_star = -math.inf
     witness = None
     witness_sub = Subtuple(())
     members = []
-    for pts in grid_chunks(spec):
+    for pts in grid_chunks(n, m):
         block = Block(sys.components, pts)
         block_max, i, j = block_kappa_max(kernels, block)
         if block_max > k_star:
@@ -99,7 +99,7 @@ def _scan(sys: HomoSystem, r: float) -> dict:
     points = (np.concatenate(members, axis=0) if members
               else np.zeros((0, sys.num_vars)))
     return dict(points=points, r_final=r, k_star=k_star,
-                grid_size=grid_count(spec), witness_point=witness,
+                grid_size=grid_count(n, m), witness_point=witness,
                 witness_subtuple=witness_sub)
 
 

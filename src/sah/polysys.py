@@ -305,11 +305,6 @@ class AffineSystem:
                 raise ContractViolation("component degree exceeds its pattern degree")
 
 
-def system_size(sys: AffineSystem) -> int:
-    """Number of real coefficients determining a dense system of this shape."""
-    return sum(math.comb(sys.n + d, sys.n) for d in sys.pattern.degrees)
-
-
 # ---------------------------------------------------------------------------
 # Weyl inner product and norms
 
@@ -348,15 +343,6 @@ def homogenize_poly(p: AffinePoly, degree: int) -> HomoPoly:
     for exps, c in p.terms.items():
         terms[(degree - sum(exps),) + exps] = c
     return HomoPoly(p.num_vars + 1, degree, terms)
-
-
-def dehomogenize_poly(h: HomoPoly) -> AffinePoly:
-    """Substitute X_0 = 1 and drop the leading variable."""
-    terms: Terms = {}
-    for exps, c in h.terms.items():
-        key = exps[1:]
-        terms[key] = terms.get(key, 0.0) + c
-    return AffinePoly(h.num_vars - 1, terms)
 
 
 def homogenize(sys: AffineSystem) -> HomoSystem:

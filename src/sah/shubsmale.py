@@ -93,22 +93,6 @@ class PolyMap:
                 out[:, :, i] += poly
         return out
 
-    def restrict_affine(self, origin: np.ndarray, basis: np.ndarray) -> "PolyMap":
-        """The map y -> F(origin + basis @ y), expanded symbolically."""
-        origin = np.asarray(origin, dtype=float)
-        basis = np.asarray(basis, dtype=float)
-        m = basis.shape[1]
-        subs = []  # variable j of self as an affine polynomial in y
-        for j in range(self.num_vars):
-            terms: Terms = {}
-            if origin[j] != 0.0:
-                terms[(0,) * m] = origin[j]
-            for k in range(m):
-                if basis[j, k] != 0.0:
-                    terms[tuple(int(i == k) for i in range(m))] = basis[j, k]
-            subs.append(terms)
-        return PolyMap(m, [p.substitute(subs, m) for p in self.polys])
-
 
 def _unit_directions(dim: int, sweep: int, rng: np.random.Generator | None) -> np.ndarray:
     if dim == 1:

@@ -17,7 +17,8 @@ from conftest import (annulus_system, circle_system, disk_system,
                       two_points_system)
 from sah.condition import kappa, mu_norm, mu_proj
 from sah.covering import approx_member_mask, covering
-from sah.grid import GridSpec, covering_radius_estimate, grid_count, grid_stream
+from sah.grid import (DEFAULT_CHUNK, covering_radius_estimate, grid_chunks,
+                      grid_count, shell_order)
 from sah.homology import BoundaryMatrix, homology_of_complex, smith_normal_form
 from sah.nerve import cech_nerve, min_enclosing_ball
 from sah.pipeline import (RunOptions, homology_algorithm, parse_system,
@@ -246,16 +247,19 @@ def test_criterion_11_grid_properties(report):
     count_ok = True
     for n in range(1, 4):
         for m in range(1, 7):
-            spec = GridSpec.from_shell(n, m)
-            pts = list(grid_stream(spec))
             want = (2 * m + 1) ** (n + 1) - (2 * m - 1) ** (n + 1)
-            count_ok &= len(pts) == len({tuple(np.round(p * 1e12)) for p in pts}) == want == grid_count(spec)
+            for chunk in (1, 37, DEFAULT_CHUNK):
+                pts = np.concatenate(list(grid_chunks(n, m, chunk)))
+                count_ok &= len(pts) == len(np.unique(pts, axis=0)) == want == grid_count(n, m)
     cover_ok = True
     for n, r in [(1, 0.5), (1, 0.125), (2, 0.5), (2, 0.2), (3, 0.5)]:
-        cover_ok &= covering_radius_estimate(GridSpec(n, r), 3000) < r
+        m = shell_order(n, r)
+        bound = math.asin(math.sqrt(n) / (2 * m))
+        cover_ok &= covering_radius_estimate(n, m, 3000) <= bound < r
     ok = count_ok and cover_ok
-    report(11, ok, "cardinality exact for n<=3, M<=6; empirical covering "
-                   "radius < r on all configurations")
+    report(11, ok, "cardinality exact for n<=3, M<=6 at three chunk sizes; "
+                   "empirical covering radius <= asin(sqrt(n)/(2M)) < r on "
+                   "all configurations")
 
 
 def test_criterion_12_determinism(report):

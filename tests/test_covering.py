@@ -10,7 +10,7 @@ from sah.condition import Subtuple, kappa_subtuple_max, subtuple_kernels
 from sah.covering import (approx_member_mask, ball_radius, certificate_holds,
                           covering, covering_fixed)
 from sah.errors import ContractViolation
-from sah.grid import GridSpec, grid_chunks, grid_points
+from sah.grid import grid_chunks, grid_points, shell_order
 from sah.polysys import (DegreePattern, HomoPoly, HomoSystem, Poly,
                          scaled_homogenization, weyl_norm_poly)
 
@@ -76,8 +76,9 @@ def test_k_star_matches_brute_force():
     sys_ = scaled_homogenization(two_points_system())
     r = 0.25
     k = covering_fixed(sys_, r, 0.1).k_star
+    n = sys_.sphere_dim
     best = max(kappa_subtuple_max(sys_, x)[0]
-               for x in grid_points(GridSpec(sys_.sphere_dim, r)))
+               for x in grid_points(n, shell_order(n, r)))
     assert k == pytest.approx(best, rel=1e-12)
 
 
@@ -105,7 +106,7 @@ def test_covering_two_points_postconditions():
     assert res.epsilon == pytest.approx(5.0 * d * res.k_star * res.r_final)
     mask = approx_member_mask(hsys, math.sqrt(d) * res.r_final, res.points)
     assert bool(mask.all())
-    assert res.grid_size == len(grid_points(GridSpec(1, res.r_final)))
+    assert res.grid_size == len(grid_points(1, shell_order(1, res.r_final)))
     # zeros of the homogenized system: (1, +-1) / sqrt(2)
     for z in (np.array([1.0, 1.0]), np.array([1.0, -1.0])):
         z = z / np.linalg.norm(z)
@@ -128,7 +129,7 @@ def test_ties_go_to_the_first_subtuple_and_the_first_point():
     x0 = HomoPoly(2, 1, {(1, 0): 1.0})
     sys_ = HomoSystem(linear_system().F, (x0, x0),
                       DegreePattern((1, 1, 1), 1, 2))
-    pts = grid_points(GridSpec(1, 0.5))
+    pts = grid_points(1, 2)
     for x in pts[:3]:
         k, sub = kappa_subtuple_max(sys_, x)
         assert k == pytest.approx(math.sqrt(2.0))
@@ -158,7 +159,8 @@ def test_scan_evaluates_each_polynomial_once_per_block(monkeypatch):
     # partials once, whatever the number of kernels reading them
     sys_ = scaled_homogenization(annulus_system())
     r = 2.0 ** -5
-    blocks = len(list(grid_chunks(GridSpec(sys_.sphere_dim, r))))
+    n = sys_.sphere_dim
+    blocks = len(list(grid_chunks(n, shell_order(n, r))))
     assert blocks > 1 and len(subtuple_kernels(sys_)) == 8
     tables, evals = [], Counter()
     power_table, eval_table = sah.condition.power_table, Poly.eval_table

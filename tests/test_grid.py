@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sah.errors import ContractViolation
-from sah.grid import (GridSpec, covering_radius_estimate, grid_chunks,
-                      grid_count, grid_points, grid_stream, shell_order)
+from sah.grid import (DEFAULT_CHUNK, covering_radius_estimate, grid_chunks,
+                      grid_count, grid_points, shell_order)
 
 
 def test_shell_order_examples():
@@ -24,63 +25,70 @@ def test_shell_order_rejects_bad_radius():
         shell_order(2, math.inf)
 
 
-def test_grid_spec_validation():
-    spec = GridSpec(1, 0.5)
-    assert spec.M == 2
+def test_shell_order_rejects_bad_dimension():
     with pytest.raises(ContractViolation):
-        GridSpec(0, 0.5)
+        shell_order(0, 0.5)
 
 
-def test_from_shell():
-    for n in (1, 2, 3):
-        for m in (1, 2, 5):
-            spec = GridSpec.from_shell(n, m)
-            assert spec.M == m
+def test_shell_order_is_the_least_m_with_m_r_at_least_sqrt_n():
+    rng = np.random.default_rng(3)
+    radii = [(n, r) for n in (1, 2, 3, 5) for r in
+             [2.0 ** -i for i in range(41)]
+             + [math.sqrt(n) / m for m in range(1, 200)]
+             + list(10.0 ** rng.uniform(-9, 0.5, 200))]
+    radii += [(1, 1e-320), (3, 5e-324)]
+    for n, r in radii:
+        m, rr = shell_order(n, r), Fraction(r)
+        assert (m * rr) ** 2 >= n
+        assert m == 1 or ((m - 1) * rr) ** 2 < n
 
 
 def test_grid_count_formula():
-    spec = GridSpec.from_shell(1, 2)
-    assert grid_count(spec) == 5 ** 2 - 3 ** 2  # 16
+    assert grid_count(1, 2) == 5 ** 2 - 3 ** 2  # 16
 
 
 def test_stream_cardinality_exhaustive():
-    # every shell point exactly once, for n <= 3 and M <= 6
+    # every shell point exactly once, for n <= 3 and M <= 6, whatever the
+    # block size: scaling each unit vector back to sup-norm M recovers
+    # distinct integer points of the shell
     for n in range(1, 4):
         for m in range(1, 7):
-            spec = GridSpec.from_shell(n, m)
-            seen = set()
-            count = 0
-            for pt in grid_stream(spec):
-                assert np.linalg.norm(pt) == pytest.approx(1.0)
-                key = tuple(np.round(pt * 1e12).astype(np.int64))
-                assert key not in seen
-                seen.add(key)
-                count += 1
-            assert count == grid_count(spec) == (2 * m + 1) ** (n + 1) - (2 * m - 1) ** (n + 1)
+            for chunk in (1, 37, DEFAULT_CHUNK):
+                blocks = list(grid_chunks(n, m, chunk))
+                assert all(0 < len(b) <= chunk for b in blocks)
+                pts = np.concatenate(blocks)
+                assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
+                ints = np.rint(pts * (m / np.abs(pts).max(axis=1))[:, None])
+                assert np.allclose(ints / np.linalg.norm(ints, axis=1,
+                                                         keepdims=True), pts)
+                assert len(np.unique(ints, axis=0)) == len(pts)
+                assert len(pts) == grid_count(n, m) == (2 * m + 1) ** (n + 1) - (2 * m - 1) ** (n + 1)
 
 
-def test_chunks_match_stream():
-    spec = GridSpec.from_shell(2, 3)
-    streamed = np.array(list(grid_stream(spec)))
-    chunked = np.concatenate(list(grid_chunks(spec, chunk=37)), axis=0)
-    assert streamed.shape == chunked.shape
-    assert np.allclose(streamed, chunked)
+def test_chunks_are_bitwise_equal_across_chunk_sizes():
+    for n, m in [(1, 7), (2, 3), (3, 2)]:
+        want = grid_points(n, m)
+        for chunk in (1, 37, 100):
+            got = np.concatenate(list(grid_chunks(n, m, chunk)))
+            assert got.tobytes() == want.tobytes()
 
 
 def test_grid_points_shape():
-    spec = GridSpec.from_shell(1, 4)
-    pts = grid_points(spec)
-    assert pts.shape == (grid_count(spec), 2)
+    pts = grid_points(1, 4)
+    assert pts.shape == (grid_count(1, 4), 2)
 
 
 def test_covering_radius_below_r():
+    # the Monte Carlo estimate stays below the proved bound, which is < r
     for n, r in [(1, 0.5), (1, 0.25), (2, 0.5), (2, 0.25), (3, 0.6)]:
-        spec = GridSpec(n, r)
-        assert covering_radius_estimate(spec, samples=2000) < r
+        m = shell_order(n, r)
+        bound = math.asin(math.sqrt(n) / (2 * m))
+        assert bound < r
+        assert covering_radius_estimate(n, m, samples=2000) <= bound
+    assert covering_radius_estimate(1, 8, samples=2000) <= math.asin(1 / 16)
 
 
 def test_deterministic_order():
-    spec = GridSpec.from_shell(2, 2)
-    a = np.array(list(grid_stream(spec)))
-    b = np.array(list(grid_stream(spec)))
+    a = grid_points(2, 2)
+    b = grid_points(2, 2)
     assert np.array_equal(a, b)

@@ -12,6 +12,7 @@ from conftest import disk_system, fixture_path, two_points_system
 from sah.cli import main as cli_main
 from sah.condition import kappa_subtuple_max
 from sah.errors import ContractViolation, ParseError
+from sah.grid import grid_count, grid_points, shell_order
 from sah.nerve import cech_nerve
 from sah.pipeline import (RunOptions, emit_result, homology_algorithm,
                           normalize_strictness, parse_system,
@@ -147,6 +148,8 @@ FIXED = ["compute", "--mode", "fixed", "--r", "0.25", "--epsilon"]
     (_two_points_doc(), ["compute", "--max-iterations", "0"]),
     (_two_points_doc(), ["compute", "--max-iterations", "-3"]),
     (_two_points_doc(), FIXED + ["0.1", "--max-iterations", "3"]),
+    (_two_points_doc(), ["compute", "--mode", "fixed", "--r", "1e-320",
+                         "--epsilon", "0.1"]),
     (_two_points_doc(), ["condition", "--point", "0,0"]),
     (_two_points_doc(), ["condition", "--point", "nan,1"]),
     (_two_points_doc(), ["condition", "--point", "inf,1"]),
@@ -154,7 +157,7 @@ FIXED = ["compute", "--mode", "fixed", "--r", "0.25", "--epsilon"]
         "term-not-an-object", "degree-not-an-integer", "n-not-an-integer",
         "equalities-not-a-list", "epsilon-nan", "epsilon-inf",
         "max-iterations-zero", "max-iterations-negative",
-        "fixed-max-iterations", "point-zero",
+        "fixed-max-iterations", "fixed-r-subnormal", "point-zero",
         "point-nan", "point-inf"])
 @pytest.mark.filterwarnings("error")
 def test_cli_malformed_input_is_an_error_not_a_traceback(doc, argv, tmp_path,
@@ -219,6 +222,25 @@ def test_cli_compute_exit_codes(tmp_path, capsys):
 def test_cli_grid_count(capsys):
     assert cli_main(["grid", "--n", "1", "--r", "0.5", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "16"
+
+
+def test_cli_grid_points_parse_back_bit_for_bit(capsys):
+    assert cli_main(["grid", "--n", "1", "--r", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 16
+    got = np.array([[float(v) for v in line.split()] for line in lines])
+    assert got.tobytes() == grid_points(1, 2).tobytes()
+
+
+def test_cli_grid_at_a_subnormal_radius(capsys):
+    # the count is exact; the points would need coordinates beyond 2^53
+    argv = ["grid", "--n", "1", "--r", "1e-320"]
+    assert cli_main(argv + ["--count-only"]) == 0
+    assert int(capsys.readouterr().out) == grid_count(1, shell_order(1, 1e-320))
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2^53" in err
+    assert len(err) < 200 and err.count("\n") == 1
 
 
 def test_cli_condition(capsys):

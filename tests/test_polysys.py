@@ -8,10 +8,9 @@ from conftest import (per_term_eval, per_term_gradient, random_homo_poly,
                       random_unit, sphere_systems, two_points_system)
 from sah.errors import ContractViolation
 from sah.polysys import (AffinePoly, AffineSystem, DegreePattern, HomoPoly,
-                         compose_rotation, dehomogenize_poly, homogenize,
-                         homogenize_poly, multinomial, power_table,
-                         scaled_homogenization, system_size, weyl_inner,
-                         weyl_norm, weyl_norm_poly)
+                         compose_rotation, homogenize, homogenize_poly,
+                         multinomial, power_table, scaled_homogenization,
+                         weyl_inner, weyl_norm, weyl_norm_poly)
 
 
 def test_multinomial_values():
@@ -140,8 +139,6 @@ def test_homogenize_round_trip():
     h = homogenize_poly(p, 3)
     assert h.degree == 3
     assert h.num_vars == 3
-    back = dehomogenize_poly(h)
-    assert back.terms == p.terms
     # values agree at X_0 = 1
     x = np.array([0.7, -0.3])
     assert h(np.concatenate([[1.0], x])) == pytest.approx(p(x))
@@ -157,12 +154,6 @@ def test_affine_system_rejects_q_gt_n():
     p = AffinePoly(1, {(1,): 1.0})
     with pytest.raises(ContractViolation):
         AffineSystem(1, (p, p), (), (), DegreePattern((1, 1), 2, 0))
-
-
-def test_system_size():
-    # one quadric in two variables: C(2+2, 2) = 6 coefficients
-    sys_ = two_points_system()
-    assert system_size(sys_) == math.comb(1 + 2, 1)
 
 
 def test_scaled_homogenization_doubles_squared_norm():

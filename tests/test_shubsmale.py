@@ -114,15 +114,6 @@ def test_newton_flow_lands_on_t_end():
     assert trace.times[-1] == pytest.approx(0.0105)
 
 
-def test_restrict_affine():
-    f = PolyMap(3, [{(2, 0, 0): 1.0, (0, 1, 1): -1.0}])
-    origin = np.array([1.0, 0.0, 2.0])
-    basis = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    g = f.restrict_affine(origin, basis)
-    y = np.array([0.3, -0.7])
-    assert g.eval(y) == pytest.approx(f.eval(origin + basis @ y), rel=1e-12)
-
-
 def test_from_homogeneous():
     from sah.polysys import HomoPoly
 
