@@ -16,10 +16,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import RANK_RTOL
 from .polysys import HomoSystem, power_table, weyl_norm
 
 UNIT_TOL = 1e-12
+
+# A matrix is treated as rank-deficient when its smallest relevant singular
+# value falls below RANK_RTOL times the largest one.  Every surjectivity
+# decision in the package goes through this constant.
+RANK_RTOL = 1e-10
 
 # Relative slack of the Gram bracket on sigma_q^2, in units of the largest
 # Gram eigenvalue; see `gram_sigma_bounds`.

@@ -56,12 +56,16 @@ def grid_chunks(n: int, m: int,
     Face (j, +/-m) is a box: coordinates before j range over -(m-1)..m-1,
     coordinate j is +/-m and those after j range over -m..m.  Its points
     come in the row-major order of the box, and each block decodes a run of
-    at most `chunk` flat indices.  Above m = 2^53 the integer coordinates
+    at most `chunk` flat indices, so the largest face, (2m+1)^n points,
+    must be indexable by `np.intp`.  Above m = 2^53 the integer coordinates
     are no longer exact floats.
     """
     if not 1 <= m <= 1 << 53:
         raise ContractViolation("shell order must be in [1, 2^53], where grid "
                                 "coordinates are exact floats")
+    if (2 * m + 1) ** n > np.iinfo(np.intp).max:
+        raise ContractViolation(f"shell order {m} on S^{n}: a face of (2m+1)^n "
+                                "points is beyond the array index range")
     for j in range(n + 1):
         for sign in (m, -m):
             shape = (2 * m - 1,) * j + (1,) + (2 * m + 1,) * (n - j)

@@ -277,27 +277,6 @@ def parse_system(path: str) -> AffineSystem:
     return AffineSystem(n, tuple(eqs), tuple(ineqs), tuple(strict), pattern)
 
 
-def system_to_document(sys: AffineSystem) -> dict:
-    """Inverse of parse_system up to coefficient formatting."""
-    def poly_doc(p: AffinePoly, degree: int, strict: bool | None) -> dict:
-        terms = [{"coeff": str(Fraction(c).limit_denominator(10 ** 12)),
-                  "exponents": list(e)}
-                 for e, c in sorted(p.terms.items())]
-        out = {"degree": degree, "terms": terms}
-        if strict is not None:
-            out["strict"] = strict
-        return out
-
-    return {
-        "schema": SCHEMA_INPUT,
-        "n": sys.n,
-        "equalities": [poly_doc(p, d, None) for p, d in
-                       zip(sys.F, sys.pattern.equality_degrees())],
-        "inequalities": [poly_doc(p, d, st) for p, d, st in
-                         zip(sys.G, sys.pattern.inequality_degrees(), sys.strict)],
-    }
-
-
 def _num(x: float):
     """Floats become JSON numbers; infinities become the string 'inf'."""
     if math.isinf(x):

@@ -165,10 +165,6 @@ class Poly:
         """Gradients at the points of a `power_table`, shape (N, num_vars)."""
         return np.column_stack([d.eval_table(table) for d in self.partials])
 
-    def gradient_many(self, pts: np.ndarray) -> np.ndarray:
-        """Gradients at an (N, num_vars) array of points, shape (N, num_vars)."""
-        return self.gradient_table(power_table(pts, self.degree))
-
     def substitute(self, subs: list[Terms], num_vars: int) -> Terms:
         """Terms of y -> self(s_0(y), ..., s_{k-1}(y)), expanded exactly.
 

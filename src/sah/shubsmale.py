@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .condition import RANK_RTOL
 from .errors import ContractViolation, RankDeficient
-from .linalg import pseudo_inverse
-from .polysys import AffinePoly, Terms
+from .polysys import AffinePoly, Terms, power_table
 
 # Threshold on alpha under which the continuous Newton flow is guaranteed to
 # exist for all time and contract exponentially.
@@ -48,103 +48,110 @@ class PolyMap:
             raise ContractViolation("a polynomial map needs at least one component")
         return cls(polys[0].num_vars, [dict(p.terms) for p in polys])
 
-    def _point(self, x) -> np.ndarray:
+    def _table(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.num_vars,):
             raise ContractViolation("point arity does not match the map")
-        return x[None, :]
+        return power_table(x[None, :], self.degree)
+
+    def _values(self, table: np.ndarray) -> np.ndarray:
+        return np.array([p.eval_table(table)[0] for p in self.polys])
+
+    def _derivative(self, table: np.ndarray) -> np.ndarray:
+        return np.array([p.gradient_table(table)[0] for p in self.polys]
+                        ).reshape(self.num_out, self.num_vars)
 
     def eval(self, x) -> np.ndarray:
-        pt = self._point(x)
-        return np.array([p.eval_many(pt)[0] for p in self.polys])
+        return self._values(self._table(x))
 
     def jacobian(self, x) -> np.ndarray:
-        pt = self._point(x)
-        return np.array([p.gradient_many(pt)[0] for p in self.polys]
-                        ).reshape(self.num_out, self.num_vars)
+        return self._derivative(self._table(x))
 
     def taylor_directional(self, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         """Coefficients of t^k in F(x + t*u) for a batch of directions.
 
         Returns an array of shape (len(dirs), degree+1, num_out); the entry
         at [., k, i] equals the k-th derivative tensor of component i applied
-        to (u, ..., u), divided by k factorial.
+        to (u, ..., u), divided by k factorial.  It is the part of total
+        degree k of v -> F_i(x + v), evaluated at u.
         """
-        ndirs = len(dirs)
-        deg = self.degree
-        out = np.zeros((ndirs, deg + 1, self.num_out))
+        zero = (0,) * self.num_vars
+        shift = [{zero[:j] + (1,) + zero[j + 1:]: 1.0, zero: float(xj)}
+                 for j, xj in enumerate(x)]
+        table = power_table(dirs, self.degree)
+        out = np.zeros((len(dirs), self.degree + 1, self.num_out))
         for i, comp in enumerate(self.polys):
-            for exps, c in comp.terms.items():
-                # batched product of the univariate expansions (x_j + t u_j)^a_j
-                poly = np.zeros((ndirs, deg + 1))
-                poly[:, 0] = c
-                top = 0
-                for j, a in enumerate(exps):
-                    if a == 0:
-                        continue
-                    fac = np.zeros((ndirs, a + 1))
-                    for k in range(a + 1):
-                        fac[:, k] = math.comb(a, k) * x[j] ** (a - k) * dirs[:, j] ** k
-                    new = np.zeros((ndirs, top + a + 1))
-                    for k in range(top + 1):
-                        new[:, k:k + a + 1] += poly[:, k:k + 1] * fac
-                    poly[:, :top + a + 1] = new
-                    top += a
-                out[:, :, i] += poly
+            parts: list[Terms] = [{} for _ in range(self.degree + 1)]
+            for exps, c in comp.substitute(shift, self.num_vars).items():
+                parts[sum(exps)][exps] = c
+            for k, terms in enumerate(parts):
+                out[:, k, i] = AffinePoly(self.num_vars, terms).eval_table(table)
         return out
 
 
-def _unit_directions(dim: int, sweep: int, rng: np.random.Generator | None) -> np.ndarray:
+def _unit_directions(dim: int, sweep: int) -> np.ndarray:
     if dim == 1:
         return np.array([[1.0], [-1.0]])
     if dim == 2:
         angles = np.arange(sweep) * (2.0 * np.pi / sweep)
         return np.column_stack([np.cos(angles), np.sin(angles)])
     if dim == 3:
-        # Fibonacci sphere plus the coordinate axes.
+        # Fibonacci sphere
         k = np.arange(sweep, dtype=float) + 0.5
         phi = np.arccos(1.0 - 2.0 * k / sweep)
         theta = np.pi * (1.0 + 5.0 ** 0.5) * k
         pts = np.column_stack([np.sin(phi) * np.cos(theta),
                                np.sin(phi) * np.sin(theta),
                                np.cos(phi)])
-        axes = np.vstack([np.eye(3), -np.eye(3)])
-        return np.vstack([pts, axes])
-    rng = rng or np.random.default_rng(0)
-    pts = rng.standard_normal((sweep, dim))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    axes = np.vstack([np.eye(dim), -np.eye(dim)])
-    return np.vstack([pts, axes])
+    else:
+        pts = np.random.default_rng(0).standard_normal((sweep, dim))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    # plus the coordinate axes
+    return np.vstack([pts, np.eye(dim), -np.eye(dim)])
+
+
+def _newton(f: PolyMap, x) -> tuple[np.ndarray, np.ndarray] | None:
+    """pinv(Df(x)) and the Newton step pinv(Df(x)) f(x), from one power
+    table and one reduced SVD Df(x) = U S V^T, with pinv = V S^-1 U^T.
+
+    None when Df(x) is not surjective: it has more rows than columns, or
+    sigma_max = 0, or sigma_min < RANK_RTOL * sigma_max.
+    """
+    table = f._table(x)
+    jac = f._derivative(table)
+    if jac.shape[0] > jac.shape[1]:
+        return None
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    if s.size and (s[0] == 0.0 or s[-1] < RANK_RTOL * s[0]):
+        return None
+    pinv = (vt.T / s) @ u.T
+    return pinv, pinv @ f._values(table)
 
 
 def beta_number(f: PolyMap, x) -> float:
     """Euclidean length of the Moore-Penrose Newton step at x."""
-    x = np.asarray(x, dtype=float)
-    pinv = pseudo_inverse(f.jacobian(x))
-    if pinv is None:
-        return math.inf
-    return float(np.linalg.norm(pinv @ f.eval(x)))
+    newton = _newton(f, x)
+    return math.inf if newton is None else float(np.linalg.norm(newton[1]))
 
 
-def gamma_number(f: PolyMap, x, sweep: int = DEFAULT_SWEEP,
-                 rng: np.random.Generator | None = None) -> float:
+def gamma_number(f: PolyMap, x, sweep: int = DEFAULT_SWEEP) -> float:
     """Higher-derivative scale of f at x, estimated by a directional sweep.
 
     Maximizes the norm of pinv(Df(x)) applied to the k-th scaled derivative
     tensor over unit directions, for every k from 2 up to the degree of f.
-    A finer sweep never decreases the estimate.
+    Refining a sweep in one or two variables by an integer factor keeps its
+    directions, so it never decreases the estimate; in three or more
+    variables the direction sets are not nested and it can.
     """
-    x = np.asarray(x, dtype=float)
-    pinv = pseudo_inverse(f.jacobian(x))
-    if pinv is None:
+    newton = _newton(f, x)
+    if newton is None:
         return math.inf
     if f.degree < 2:
         return 0.0
-    dirs = _unit_directions(f.num_vars, sweep, rng)
-    coeffs = f.taylor_directional(x, dirs)  # (ndirs, deg+1, m_out)
+    coeffs = f.taylor_directional(x, _unit_directions(f.num_vars, sweep))
     best = 0.0
     for k in range(2, f.degree + 1):
-        vals = coeffs[:, k, :] @ pinv.T
+        vals = coeffs[:, k, :] @ newton[0].T
         mk = float(np.max(np.linalg.norm(vals, axis=1)))
         best = max(best, mk ** (1.0 / (k - 1)))
     return best
@@ -155,21 +162,16 @@ def alpha_number(f: PolyMap, x, sweep: int = DEFAULT_SWEEP) -> float:
     b = beta_number(f, x)
     if not math.isfinite(b):
         return math.inf
-    if b == 0.0:
-        return 0.0
-    g = gamma_number(f, x, sweep=sweep)
-    if not math.isfinite(g):
-        return math.inf
-    return g * b
+    # a finite beta means Df(x) is surjective, so gamma is finite too
+    return 0.0 if b == 0.0 else gamma_number(f, x, sweep=sweep) * b
 
 
 def newton_step(f: PolyMap, x) -> np.ndarray:
     """One Moore-Penrose Newton update."""
-    x = np.asarray(x, dtype=float)
-    pinv = pseudo_inverse(f.jacobian(x))
-    if pinv is None:
+    newton = _newton(f, x)
+    if newton is None:
         raise RankDeficient("Jacobian is not surjective at the iterate")
-    return x - pinv @ f.eval(x)
+    return np.asarray(x, dtype=float) - newton[1]
 
 
 @dataclass(frozen=True)
@@ -201,20 +203,22 @@ def newton_flow(f: PolyMap, x0, t_end: float,
     x = np.asarray(x0, dtype=float).copy()
 
     def velocity(y):
-        pinv = pseudo_inverse(f.jacobian(y))
-        if pinv is None:
-            return None
-        return -(pinv @ f.eval(y))
+        newton = _newton(f, y)
+        return None if newton is None else -newton[1]
+
+    def beta(v) -> float:
+        return math.inf if v is None else float(np.linalg.norm(v))
 
     alpha0 = alpha_number(f, x)
+    # the velocity at each accepted point gives its beta and is the next k1
+    k1 = velocity(x)
     times = [0.0]
     points = [x.copy()]
-    betas = [beta_number(f, x)]
+    betas = [beta(k1)]
     t = 0.0
     aborted = False
     while t < t_end - 1e-15:
         h = min(step, t_end - t)
-        k1 = velocity(x)
         k2 = velocity(x + 0.5 * h * k1) if k1 is not None else None
         k3 = velocity(x + 0.5 * h * k2) if k2 is not None else None
         k4 = velocity(x + h * k3) if k3 is not None else None
@@ -223,9 +227,10 @@ def newton_flow(f: PolyMap, x0, t_end: float,
             break
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
+        k1 = velocity(x)
         times.append(t)
         points.append(x.copy())
-        betas.append(beta_number(f, x))
+        betas.append(beta(k1))
     return FlowTrace(np.array(times), np.array(points), np.array(betas),
                      alpha0=alpha0,
                      hypothesis_met=alpha0 < ALPHA_FLOW_THRESHOLD,

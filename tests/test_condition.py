@@ -6,14 +6,13 @@ from hypothesis import given, settings
 
 from conftest import (per_term_eval, per_term_gradient, random_homo_poly,
                       random_unit, sphere_systems)
-from sah.condition import (Block, ConditionReport, Subtuple, SubtupleKernel,
-                           block_kappa_max, condition_report, kappa,
-                           kappa_max_many, kappa_subtuple_max, mu_norm,
+from sah.condition import (RANK_RTOL, Block, ConditionReport, Subtuple,
+                           SubtupleKernel, block_kappa_max, condition_report,
+                           kappa, kappa_max_many, kappa_subtuple_max, mu_norm,
                            mu_proj, reach_lower_bound, subtuple_kernels,
                            subtuples)
 from sah.covering import approx_member_mask
 from sah.errors import ContractViolation
-from sah.linalg import RANK_RTOL
 from sah.polysys import (DegreePattern, HomoPoly, HomoSystem,
                          compose_rotation_system, weyl_norm, weyl_norm_poly)
 

@@ -30,6 +30,13 @@ def test_shell_order_rejects_bad_dimension():
         shell_order(0, 0.5)
 
 
+def test_grid_chunks_rejects_faces_beyond_the_index_range():
+    # a face of (2m+1)^3 > 2^63 points; m itself is far below 2^53
+    m = shell_order(3, 1e-10)
+    with pytest.raises(ContractViolation, match=rf"shell order {m} on S\^3"):
+        next(grid_chunks(3, m))
+
+
 def test_shell_order_is_the_least_m_with_m_r_at_least_sqrt_n():
     rng = np.random.default_rng(3)
     radii = [(n, r) for n in (1, 2, 3, 5) for r in

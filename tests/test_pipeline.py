@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sah.pipeline
-from conftest import disk_system, fixture_path, two_points_system
+from conftest import (annulus_system, circle_system, disk_system, fixture_path,
+                      two_points_system)
 from sah.cli import main as cli_main
 from sah.condition import kappa_subtuple_max
 from sah.errors import ContractViolation, ParseError
@@ -16,7 +18,7 @@ from sah.grid import grid_count, grid_points, shell_order
 from sah.nerve import cech_nerve
 from sah.pipeline import (RunOptions, emit_result, homology_algorithm,
                           normalize_strictness, parse_system,
-                          serialize_result, system_to_document)
+                          serialize_result)
 from sah.polysys import (AffinePoly, AffineSystem, DegreePattern,
                          scaled_homogenization)
 
@@ -84,15 +86,15 @@ def test_parse_strict_flag():
     assert closed.G[0].terms == sys_.G[0].terms
 
 
-def test_parse_round_trip(tmp_path):
-    for name in ("two_points.json", "circle.json", "disk_closed.json",
-                 "annulus.json"):
-        sys_ = parse_system(fixture_path(name))
-        doc = system_to_document(sys_)
-        p = tmp_path / name
-        p.write_text(json.dumps(doc))
-        again = parse_system(str(p))
-        assert again == sys_
+@pytest.mark.parametrize("name,system", [
+    ("two_points.json", two_points_system()),
+    ("circle.json", circle_system()),
+    ("disk_closed.json", disk_system()),
+    ("disk_strict.json", disk_system(strict=True)),
+    ("annulus.json", annulus_system()),
+], ids=["two_points", "circle", "disk_closed", "disk_strict", "annulus"])
+def test_parse_fixture_equals_conftest_system(name, system):
+    assert parse_system(fixture_path(name)) == system
 
 
 def test_parse_error_names_polynomial(tmp_path):
@@ -153,18 +155,25 @@ FIXED = ["compute", "--mode", "fixed", "--r", "0.25", "--epsilon"]
     (_two_points_doc(), ["condition", "--point", "0,0"]),
     (_two_points_doc(), ["condition", "--point", "nan,1"]),
     (_two_points_doc(), ["condition", "--point", "inf,1"]),
+    # faces of more points than an array index can address
+    (json.loads(Path(fixture_path("annulus.json")).read_text()),
+     ["compute", "--mode", "fixed", "--r", "1e-10", "--epsilon", "0.1"]),
+    (None, ["grid", "--n", "3", "--r", "1e-10"]),
 ], ids=["top-level-array", "coeff-overflow", "terms-not-a-list",
         "term-not-an-object", "degree-not-an-integer", "n-not-an-integer",
         "equalities-not-a-list", "epsilon-nan", "epsilon-inf",
         "max-iterations-zero", "max-iterations-negative",
         "fixed-max-iterations", "fixed-r-subnormal", "point-zero",
-        "point-nan", "point-inf"])
+        "point-nan", "point-inf", "fixed-face-too-large",
+        "grid-face-too-large"])
 @pytest.mark.filterwarnings("error")
 def test_cli_malformed_input_is_an_error_not_a_traceback(doc, argv, tmp_path,
                                                           capsys):
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps(doc))
-    assert cli_main(argv[:1] + ["--input", str(p)] + argv[1:]) == 1
+    if doc is not None:
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        argv = argv[:1] + ["--input", str(p)] + argv[1:]
+    assert cli_main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     # one short line, e.g. no coefficient printed as a 400-digit fraction
@@ -222,6 +231,9 @@ def test_cli_compute_exit_codes(tmp_path, capsys):
 def test_cli_grid_count(capsys):
     assert cli_main(["grid", "--n", "1", "--r", "0.5", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "16"
+    # exact even where the points could not be enumerated
+    assert cli_main(["grid", "--n", "3", "--r", "1e-10", "--count-only"]) == 0
+    assert int(capsys.readouterr().out) == grid_count(3, shell_order(3, 1e-10))
 
 
 def test_cli_grid_points_parse_back_bit_for_bit(capsys):
@@ -373,3 +385,14 @@ def test_degrees_above_n_are_zero_without_building_their_simplices(
     }
     assert serialize_result(res) == json.dumps(expected, indent=2,
                                                sort_keys=True) + "\n"
+
+
+def test_importing_the_cli_loads_neither_scipy_nor_shubsmale():
+    # each would add its import time to every command's start-up
+    src = os.path.dirname(os.path.dirname(sah.pipeline.__file__))
+    code = ("import sys, sah, sah.cli; print(sorted(m for m in "
+            "('scipy', 'sah.shubsmale') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

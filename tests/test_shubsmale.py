@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_homo_poly
 from sah.errors import ContractViolation, RankDeficient
 from sah.shubsmale import (ALPHA_FLOW_THRESHOLD, FlowTrace, PolyMap,
                            alpha_number, beta_number, gamma_number,
@@ -29,6 +30,20 @@ def test_beta_gamma_alpha_closed_form():
     assert beta_number(f, x) == pytest.approx(1.0)
     assert gamma_number(f, x) == pytest.approx(1.0, rel=1e-6)
     assert alpha_number(f, x) == pytest.approx(1.0, rel=1e-6)
+
+
+def test_beta_is_the_minimum_norm_newton_step(rng):
+    for _ in range(20):
+        f = PolyMap.from_homogeneous([random_homo_poly(rng, 3, d)
+                                      for d in (2, 3)])
+        x = rng.standard_normal(3)
+        step = np.linalg.lstsq(f.jacobian(x), f.eval(x), rcond=None)[0]
+        assert beta_number(f, x) == pytest.approx(np.linalg.norm(step),
+                                                  rel=1e-10)
+    # two equal components give Df(x) two equal rows
+    h = random_homo_poly(rng, 3, 2)
+    assert beta_number(PolyMap.from_homogeneous([h, h]),
+                       rng.standard_normal(3)) == math.inf
 
 
 def test_gamma_zero_for_linear():
@@ -106,6 +121,22 @@ def test_newton_flow_residual_decay_quadratic():
     for t, x in zip(trace.times[::100], trace.points[::100]):
         assert np.linalg.norm(f.eval(x)) == pytest.approx(
             r0 * math.exp(-t), rel=1e-6)
+
+
+def test_newton_flow_factors_each_point_once(monkeypatch):
+    # four SVDs per step (k2, k3, k4 and the new point's velocity, which is
+    # its beta and the next k1), three at the start (beta and gamma for
+    # alpha0, then the first k1), and no matrix inverse
+    calls = {"svd": 0, "inv": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    f = PolyMap(1, [{(2,): 1.0, (0,): -1.0}])
+    trace = newton_flow(f, np.array([1.05]), t_end=10 / 128, step=1 / 128)
+    assert len(trace.times) == 11
+    assert calls["svd"] <= 4 * 10 + 3 and calls["inv"] == 0
 
 
 def test_newton_flow_lands_on_t_end():
