@@ -12,18 +12,17 @@ from .errors import ContractViolation, ParseError, RankDeficient
 from .homology import HomologyGroups, homology_of_complex, smith_normal_form
 from .nerve import SimplicialComplex, cech_nerve, min_enclosing_ball
 from .pipeline import (RunOptions, RunResult, homology_algorithm,
-                       normalize_strictness, parse_system, serialize_result)
-from .polysys import (AffinePoly, AffineSystem, DegreePattern, HomoPoly,
-                      HomoSystem, scaled_homogenization, weyl_norm)
+                       parse_system, serialize_result)
+from .polysys import (AffinePoly, AffineSystem, HomoPoly, HomoSystem,
+                      scaled_homogenization, weyl_norm)
 
 __all__ = [
     "AffinePoly", "AffineSystem", "ConditionReport", "ContractViolation",
-    "CoveringResult", "DegreePattern", "HomoPoly", "HomoSystem",
-    "HomologyGroups", "ParseError", "RankDeficient", "RunOptions",
-    "RunResult", "SimplicialComplex", "cech_nerve", "condition_report",
-    "covering", "covering_fixed", "homology_algorithm",
-    "homology_of_complex", "kappa", "min_enclosing_ball", "mu_norm",
-    "mu_proj", "normalize_strictness", "parse_system",
+    "CoveringResult", "HomoPoly", "HomoSystem", "HomologyGroups",
+    "ParseError", "RankDeficient", "RunOptions", "RunResult",
+    "SimplicialComplex", "cech_nerve", "condition_report", "covering",
+    "covering_fixed", "homology_algorithm", "homology_of_complex", "kappa",
+    "min_enclosing_ball", "mu_norm", "mu_proj", "parse_system",
     "scaled_homogenization", "serialize_result", "smith_normal_form",
     "weyl_norm",
 ]

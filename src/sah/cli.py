@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys as _sys
 
 import numpy as np
@@ -83,8 +84,7 @@ def _cmd_condition(args) -> int:
     x = x / scale
     x = x / np.linalg.norm(x)
     hsys = scaled_homogenization(system)
-    report = condition_report(hsys.F, x,
-                              max_degree=hsys.pattern.max_degree)
+    report = condition_report(hsys.F, x, max_degree=hsys.max_degree)
     k_sub, sub = kappa_subtuple_max(hsys, x)
     doc = {**dataclasses.asdict(report), "kappa_subtuple_max": k_sub,
            "subtuple": list(sub.indices)}
@@ -107,12 +107,19 @@ def _cmd_grid(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    commands = {"compute": _cmd_compute, "condition": _cmd_condition,
+                "grid": _cmd_grid}
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "condition":
-            return _cmd_condition(args)
-        return _cmd_grid(args)
+        code = commands[args.command](args)
+        _sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early; with stdout on devnull the flush at
+        # exit cannot fail again (Python `signal` docs, SIGPIPE note)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ContractViolation, ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

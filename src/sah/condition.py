@@ -256,13 +256,13 @@ def subtuple_kernels(sys: HomoSystem) -> list[tuple[Subtuple, SubtupleKernel]]:
     of `subtuples` (by length, then lexicographic).  A kernel's rows index
     `sys.components`, the polynomials of the system's blocks.
     """
-    q = sys.pattern.q
+    q = len(sys.F)
     n = sys.sphere_dim
     if q > n + 1:
         raise ContractViolation("too many equalities for the subtuple maximum")
     comps = sys.components
     out = []
-    for sub in subtuples(sys.pattern.s, n + 1 - q):
+    for sub in subtuples(len(sys.G), n + 1 - q):
         rows = tuple(range(q)) + tuple(q + i for i in sub.indices)
         out.append((sub, SubtupleKernel(rows, weyl_norm(comps[i] for i in rows))))
     return out

@@ -53,7 +53,7 @@ def _relaxation_mask(sys: HomoSystem, r: float, values: np.ndarray) -> np.ndarra
     if r <= 0.0:
         raise ContractViolation("relaxation radius must be positive")
     mask = np.ones(len(values), dtype=bool)
-    q = sys.pattern.q
+    q = len(sys.F)
     for i, f in enumerate(sys.components):
         bound = weyl_norm_poly(f) * r
         mask &= (np.abs(values[:, i]) < bound if i < q
@@ -77,10 +77,10 @@ def _scan(sys: HomoSystem, r: float) -> dict:
     member mask read that `Block`, and `block_kappa_max` computes exact
     kappa values only where the block maximum can be.
     """
-    if sys.pattern.q > sys.sphere_dim:
+    if len(sys.F) > sys.sphere_dim:
         raise ContractViolation("the covering algorithm requires q <= n")
     n, m = sys.sphere_dim, shell_order(sys.sphere_dim, r)
-    member_radius = math.sqrt(sys.pattern.max_degree) * r
+    member_radius = math.sqrt(sys.max_degree) * r
     kernels = subtuple_kernels(sys)
     k_star = -math.inf
     witness = None
@@ -124,7 +124,7 @@ def covering(sys: HomoSystem,
     """
     if max_iterations < 1:
         raise ContractViolation("max_iterations must be at least 1")
-    max_degree = sys.pattern.max_degree
+    max_degree = sys.max_degree
     for iterations in range(1, max_iterations + 1):
         scan = _scan(sys, 2.0 ** -iterations)
         certified = certificate_holds(max_degree, scan["k_star"],
@@ -149,7 +149,7 @@ def covering_fixed(sys: HomoSystem, r: float, epsilon: float) -> CoveringResult:
     if not 0.0 < epsilon < math.inf:
         raise ContractViolation("epsilon must be positive and finite")
     scan = _scan(sys, r)
-    max_degree = sys.pattern.max_degree
+    max_degree = sys.max_degree
     k_star = scan["k_star"]
     hypothesis = (13.0 * max_degree ** 1.5 * k_star * k_star
                   * math.sqrt(max_degree) * r)

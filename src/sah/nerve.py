@@ -45,7 +45,6 @@ class SimplicialComplex:
     dimension 0.
     """
 
-    num_vertices: int
     simplices: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
     boundary_ambiguous: bool = False
 
@@ -139,7 +138,7 @@ def cech_nerve(points: np.ndarray, epsilon: float,
         max_dim = pts.shape[1]
     if max_dim < 0:
         raise ContractViolation("max_dim must be nonnegative")
-    complex_ = SimplicialComplex(num_vertices=npts)
+    complex_ = SimplicialComplex()
     complex_.simplices[0] = [(i,) for i in range(npts)]
     if max_dim == 0 or npts < 2:
         return complex_

@@ -1,7 +1,7 @@
 """End-to-end homology computation and the file formats.
 
-The pipeline replaces strict inequalities by their closures, lifts the
-affine system to the sphere with the scaled homogenization, runs the
+The parser reads strict inequalities as their closures; the pipeline lifts
+the affine system to the sphere with the scaled homogenization, runs the
 covering stage, builds the nerve of the resulting ball union and computes
 its integer homology.  Homology is only claimed when the covering stage
 certifies; fixed-radius runs report an audit value instead.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -24,8 +24,7 @@ from .covering import (CoveringResult, approx_member_mask, covering,
 from .errors import ContractViolation, ParseError
 from .homology import HomologyGroups, homology_of_complex
 from .nerve import cech_nerve
-from .polysys import (AffinePoly, AffineSystem, DegreePattern,
-                      scaled_homogenization)
+from .polysys import AffinePoly, AffineSystem, scaled_homogenization
 
 SCHEMA_INPUT = "sah-system/1"
 
@@ -69,16 +68,6 @@ class RunResult:
         return self.covering.certified
 
 
-def normalize_strictness(sys: AffineSystem) -> AffineSystem:
-    """Replace every strict inequality by its closure.
-
-    The solution set changes, but not its homotopy type, provided the
-    system has a finite subtuple condition maximum; the pipeline relies on
-    this and records no further distinction.
-    """
-    return replace(sys, strict=(False,) * len(sys.G))
-
-
 def _trivial_result(sys: AffineSystem, max_dim: int, t0: float) -> RunResult:
     """Unconstrained input: the set is all of R^n, one contractible piece."""
     betti = (1,) + (0,) * (max_dim - 1)
@@ -104,16 +93,16 @@ def homology_algorithm(sys: AffineSystem, opts: RunOptions) -> RunResult:
     max_dim = opts.max_dim if opts.max_dim is not None else sys.n + 1
     if max_dim < 1:
         raise ContractViolation("max_dim must be >= 1")
-    if sys.pattern.q == 0 and sys.pattern.s == 0:
+    if not sys.F and not sys.G:
         return _trivial_result(sys, max_dim, t0)
-    hsys = scaled_homogenization(normalize_strictness(sys))
+    hsys = scaled_homogenization(sys)
     if opts.mode == "certified":
         cov = covering(hsys, max_iterations=(
             DEFAULT_MAX_ITERATIONS if opts.max_iterations is None
             else opts.max_iterations))
     else:
         cov = covering_fixed(hsys, opts.r_override, opts.epsilon_override)
-        d = hsys.pattern.max_degree
+        d = hsys.max_degree
         mask = approx_member_mask(hsys, math.sqrt(d) * cov.r_final, cov.points)
         if not bool(mask.all()):
             raise ContractViolation("fixed-mode audit failed: X not in Approx")
@@ -121,7 +110,7 @@ def homology_algorithm(sys: AffineSystem, opts: RunOptions) -> RunResult:
     if cov.witness_point is not None:
         polys = hsys.F + tuple(hsys.G[i] for i in cov.witness_subtuple.indices)
         cond = condition_report(polys, cov.witness_point,
-                                max_degree=hsys.pattern.max_degree)
+                                max_degree=hsys.max_degree)
     homology = None
     ambiguous = False
     if cov.certified or opts.mode == "fixed":
@@ -153,26 +142,35 @@ _FLOAT_MAX = Fraction(np.finfo(float).max)
 _SQUARE_MARGIN = 2 ** 64
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer: not a float such as 2.9 or 2.0, and not a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_poly(entry: dict, n: int, where: str) -> tuple[list, int]:
     """Exact (exponents, Fraction coefficient) pairs and the declared degree."""
     if not isinstance(entry, dict):
         raise ParseError(f"{where}: polynomial entry must be an object")
     try:
-        degree = int(entry["degree"])
+        degree = entry["degree"]
         raw_terms = entry["terms"]
     except KeyError as exc:
         raise ParseError(f"{where}: missing field {exc}") from None
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: field 'degree' must be an integer") from None
+    if not _is_integer(degree) or degree < 1:
+        raise ParseError(f"{where}: field 'degree' must be a positive integer")
+    if not isinstance(entry.get("strict", False), bool):
+        raise ParseError(f"{where}: field 'strict' must be a boolean")
     if not isinstance(raw_terms, list):
         raise ParseError(f"{where}: field 'terms' must be a list")
     pairs = []
     for t in raw_terms:
         try:
             coeff = Fraction(str(t["coeff"]))
-            exps = tuple(int(e) for e in t["exponents"])
+            exps = tuple(t["exponents"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: bad term ({exc})") from None
+        if not all(_is_integer(e) for e in exps):
+            raise ParseError(f"{where}: field 'exponents' must hold integers")
         if len(exps) != n:
             raise ParseError(
                 f"{where}: exponent vector has length {len(exps)}, expected {n}")
@@ -241,7 +239,8 @@ def _list_field(doc: dict, key: str, where: str) -> list:
 
 
 def parse_system(path: str) -> AffineSystem:
-    """Read an affine system from a schema 'sah-system/1' document."""
+    """Read an affine system from a schema 'sah-system/1' document; an
+    inequality's boolean 'strict' flag is dropped (see `AffineSystem`)."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -251,30 +250,22 @@ def parse_system(path: str) -> AffineSystem:
         raise ParseError("document must be a JSON object")
     if doc.get("schema") != SCHEMA_INPUT:
         raise ParseError(f"schema field must be '{SCHEMA_INPUT}'")
-    try:
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("field 'n' must be a positive integer") from None
-    if n < 1:
+    n = doc.get("n")
+    if not _is_integer(n) or n < 1:
         raise ParseError("field 'n' must be a positive integer")
-    raw, strict, degrees = [], [], []
+    raw, degrees = [], []
     for key in ("equalities", "inequalities"):
         for i, entry in enumerate(_list_field(doc, key, "document")):
             pairs, d = _parse_poly(entry, n, f"{key}[{i}]")
             raw.append((f"{key}[{i}]", pairs))
             degrees.append(d)
-            if key == "inequalities":
-                strict.append(bool(entry.get("strict", False)))
     scale = _common_scale([c for _, pairs in raw for _, c in pairs])
     polys = [_float_poly(pairs, n, scale, where) for where, pairs in raw]
-    s = len(strict)
-    q = len(polys) - s
-    eqs, ineqs = polys[:q], polys[q:]
+    q = len(doc.get("equalities", []))
     if q > n:
         raise ParseError(
             f"q = {q} equalities exceed n = {n}; the algorithm requires q <= n")
-    pattern = DegreePattern(tuple(degrees), q, s)
-    return AffineSystem(n, tuple(eqs), tuple(ineqs), tuple(strict), pattern)
+    return AffineSystem(n, tuple(polys[:q]), tuple(polys[q:]), tuple(degrees))
 
 
 def _num(x: float):

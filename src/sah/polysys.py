@@ -32,33 +32,8 @@ def multinomial(d: int, exps: Exponents) -> int:
     return num
 
 
-@dataclass(frozen=True)
-class DegreePattern:
-    """Degrees of the q equalities followed by the s inequalities."""
-
-    degrees: tuple[int, ...]
-    q: int
-    s: int
-
-    def __post_init__(self):
-        if self.q < 0 or self.s < 0 or self.q + self.s != len(self.degrees):
-            raise ContractViolation("q + s must equal the number of degrees")
-        if any(d < 1 for d in self.degrees):
-            raise ContractViolation("all degrees must be >= 1")
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.degrees) if self.degrees else 1
-
-    def equality_degrees(self) -> tuple[int, ...]:
-        return self.degrees[: self.q]
-
-    def inequality_degrees(self) -> tuple[int, ...]:
-        return self.degrees[self.q:]
-
-
-def _clean_terms(terms: Terms, num_vars: int, degree: int | None,
-                 homogeneous: bool) -> Terms:
+def _clean_terms(terms: Terms, num_vars: int, degree: int | None) -> Terms:
+    """Integer exponents, zeros dropped; each sums to `degree` unless None."""
     out: Terms = {}
     for exps, c in terms.items():
         exps = tuple(int(e) for e in exps)
@@ -67,12 +42,9 @@ def _clean_terms(terms: Terms, num_vars: int, degree: int | None,
                 f"exponent vector {exps} has length {len(exps)}, expected {num_vars}")
         if any(e < 0 for e in exps):
             raise ContractViolation(f"negative exponent in {exps}")
-        if homogeneous and sum(exps) != degree:
+        if degree is not None and sum(exps) != degree:
             raise ContractViolation(
                 f"exponents {exps} sum to {sum(exps)}, expected degree {degree}")
-        if degree is not None and sum(exps) > degree:
-            raise ContractViolation(
-                f"term {exps} exceeds declared degree {degree}")
         c = float(c)
         if c != 0.0:
             out[exps] = out.get(exps, 0.0) + c
@@ -114,8 +86,8 @@ class Poly:
     variant.
     """
 
-    def _compile(self, degree: int | None, homogeneous: bool) -> None:
-        terms = _clean_terms(self.terms, self.num_vars, degree, homogeneous)
+    def _compile(self, degree: int | None) -> None:
+        terms = _clean_terms(self.terms, self.num_vars, degree)
         keys = sorted(terms)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_exps", np.array(keys, dtype=np.int64)
@@ -198,7 +170,7 @@ class HomoPoly(Poly):
     def __post_init__(self):
         if self.degree < 0:
             raise ContractViolation("degree must be >= 0")
-        self._compile(self.degree, homogeneous=True)
+        self._compile(self.degree)
 
     def _lowered(self, terms: Terms) -> "HomoPoly":
         return HomoPoly(self.num_vars, max(self.degree - 1, 0), terms)
@@ -219,25 +191,24 @@ class HomoSystem:
 
     F: tuple[HomoPoly, ...]
     G: tuple[HomoPoly, ...]
-    pattern: DegreePattern
 
     def __post_init__(self):
         object.__setattr__(self, "F", tuple(self.F))
         object.__setattr__(self, "G", tuple(self.G))
-        if len(self.F) != self.pattern.q or len(self.G) != self.pattern.s:
-            raise ContractViolation("component counts do not match the degree pattern")
         comps = self.components
-        for p, d in zip(comps, self.pattern.degrees):
-            if p.degree != d:
-                raise ContractViolation("component degree does not match the pattern")
-        if comps:
-            nv = comps[0].num_vars
-            if any(p.num_vars != nv for p in comps):
-                raise ContractViolation("components disagree on the number of variables")
+        if any(p.degree < 1 for p in comps):
+            raise ContractViolation("all degrees must be >= 1")
+        if any(p.num_vars != comps[0].num_vars for p in comps):
+            raise ContractViolation("components disagree on the number of variables")
 
     @property
     def components(self) -> tuple[HomoPoly, ...]:
         return self.F + self.G
+
+    @property
+    def max_degree(self) -> int:
+        """The largest component degree D, 1 for the empty system."""
+        return max((p.degree for p in self.components), default=1)
 
     @property
     def num_vars(self) -> int:
@@ -253,13 +224,13 @@ class HomoSystem:
 
 @dataclass(frozen=True)
 class AffinePoly(Poly):
-    """A sparse polynomial in n affine variables, degree bounded by a pattern."""
+    """A sparse polynomial in n affine variables."""
 
     num_vars: int
     terms: Terms
 
     def __post_init__(self):
-        self._compile(None, homogeneous=False)
+        self._compile(None)
 
     def _lowered(self, terms: Terms) -> "AffinePoly":
         return AffinePoly(self.num_vars, terms)
@@ -273,32 +244,34 @@ class AffinePoly(Poly):
 class AffineSystem:
     """A basic semialgebraic system in n affine variables.
 
-    Each inequality carries a strictness flag; the solution set is
-    {f_i = 0 for all i, g_j >= 0 (or > 0 when strict) for all j}.
+    The solution set is {f_i = 0 for all i, g_j >= 0 for all j}: a strict
+    inequality is read as its closure, which has the same homotopy type
+    when the subtuple condition maximum is finite.  `degrees`, those of F
+    then G, are declared, not derived: x - 1 at degree 2 homogenizes to
+    X0 (X1 - X0), whose zero set adds the equator.
     """
 
     n: int
     F: tuple[AffinePoly, ...]
     G: tuple[AffinePoly, ...]
-    strict: tuple[bool, ...]
-    pattern: DegreePattern
+    degrees: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "F", tuple(self.F))
         object.__setattr__(self, "G", tuple(self.G))
-        object.__setattr__(self, "strict", tuple(bool(b) for b in self.strict))
-        if len(self.F) != self.pattern.q or len(self.G) != self.pattern.s:
-            raise ContractViolation("component counts do not match the degree pattern")
-        if len(self.strict) != len(self.G):
-            raise ContractViolation("one strictness flag per inequality is required")
-        if self.pattern.q > self.n:
+        object.__setattr__(self, "degrees", tuple(self.degrees))
+        if len(self.degrees) != len(self.F) + len(self.G):
+            raise ContractViolation("one degree per polynomial is required")
+        if any(d < 1 for d in self.degrees):
+            raise ContractViolation("all degrees must be >= 1")
+        if len(self.F) > self.n:
             raise ContractViolation(
-                f"q = {self.pattern.q} equalities exceed the ambient dimension n = {self.n}")
-        for p, d in zip(self.F + self.G, self.pattern.degrees):
+                f"q = {len(self.F)} equalities exceed the ambient dimension n = {self.n}")
+        for p, d in zip(self.F + self.G, self.degrees):
             if p.num_vars != self.n:
                 raise ContractViolation("component arity does not match n")
             if p.degree > d:
-                raise ContractViolation("component degree exceeds its pattern degree")
+                raise ContractViolation("component degree exceeds its declared degree")
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +295,7 @@ def weyl_norm_poly(h: HomoPoly) -> float:
 
 
 def weyl_norm(polys) -> float:
-    """Norm of a tuple of homogeneous polynomials (or of a HomoSystem)."""
-    if isinstance(polys, HomoSystem):
-        polys = polys.components
+    """Norm of a tuple of homogeneous polynomials."""
     return math.sqrt(sum(h.weyl_sq for h in polys))
 
 
@@ -334,7 +305,7 @@ def weyl_norm(polys) -> float:
 def homogenize_poly(p: AffinePoly, degree: int) -> HomoPoly:
     """Homogenize to the given degree with a fresh leading variable X_0."""
     if p.degree > degree:
-        raise ContractViolation("pattern degree below actual degree")
+        raise ContractViolation("declared degree below actual degree")
     terms: Terms = {}
     for exps, c in p.terms.items():
         terms[(degree - sum(exps),) + exps] = c
@@ -342,29 +313,24 @@ def homogenize_poly(p: AffinePoly, degree: int) -> HomoPoly:
 
 
 def homogenize(sys: AffineSystem) -> HomoSystem:
-    """Componentwise homogenization with respect to the degree pattern."""
-    F = tuple(homogenize_poly(p, d)
-              for p, d in zip(sys.F, sys.pattern.equality_degrees()))
-    G = tuple(homogenize_poly(p, d)
-              for p, d in zip(sys.G, sys.pattern.inequality_degrees()))
-    return HomoSystem(F, G, sys.pattern)
+    """Componentwise homogenization to the declared degrees."""
+    polys = [homogenize_poly(p, d) for p, d in zip(sys.F + sys.G, sys.degrees)]
+    return HomoSystem(polys[:len(sys.F)], polys[len(sys.F):])
 
 
 def scaled_homogenization(sys: AffineSystem) -> HomoSystem:
     """Homogenize and append the inequality ||sys^h|| * X_0 >= 0.
 
-    Reduces an affine problem in R^n to a spherical one on S^n.  The output
-    degree pattern appends a 1 for the new linear inequality, and the squared
-    norm of the output is exactly twice that of the input.
+    Reduces an affine problem in R^n to a spherical one on S^n.  The new
+    inequality is linear, and the squared norm of the output is exactly
+    twice that of the input.
     """
     hsys = homogenize(sys)
-    norm = weyl_norm(hsys)
+    norm = weyl_norm(hsys.components)
     if norm == 0.0:
         raise ContractViolation("the zero system has no scaled homogenization")
     x0 = HomoPoly(sys.n + 1, 1, {(1,) + (0,) * sys.n: norm})
-    pattern = DegreePattern(sys.pattern.degrees + (1,), sys.pattern.q,
-                            sys.pattern.s + 1)
-    return HomoSystem(hsys.F, hsys.G + (x0,), pattern)
+    return HomoSystem(hsys.F, hsys.G + (x0,))
 
 
 # ---------------------------------------------------------------------------

@@ -128,10 +128,27 @@ def _newton(f: PolyMap, x) -> tuple[np.ndarray, np.ndarray] | None:
     return pinv, pinv @ f._values(table)
 
 
+def _beta(step: np.ndarray | None) -> float:
+    return math.inf if step is None else float(np.linalg.norm(step))
+
+
 def beta_number(f: PolyMap, x) -> float:
     """Euclidean length of the Moore-Penrose Newton step at x."""
     newton = _newton(f, x)
-    return math.inf if newton is None else float(np.linalg.norm(newton[1]))
+    return _beta(None if newton is None else newton[1])
+
+
+def _gamma(f: PolyMap, x, pinv: np.ndarray, sweep: int) -> float:
+    """`gamma_number` at x from pinv(Df(x))."""
+    if f.degree < 2:
+        return 0.0
+    coeffs = f.taylor_directional(x, _unit_directions(f.num_vars, sweep))
+    best = 0.0
+    for k in range(2, f.degree + 1):
+        vals = coeffs[:, k, :] @ pinv.T
+        mk = float(np.max(np.linalg.norm(vals, axis=1)))
+        best = max(best, mk ** (1.0 / (k - 1)))
+    return best
 
 
 def gamma_number(f: PolyMap, x, sweep: int = DEFAULT_SWEEP) -> float:
@@ -144,26 +161,20 @@ def gamma_number(f: PolyMap, x, sweep: int = DEFAULT_SWEEP) -> float:
     variables the direction sets are not nested and it can.
     """
     newton = _newton(f, x)
+    return math.inf if newton is None else _gamma(f, x, newton[0], sweep)
+
+
+def _alpha(f: PolyMap, x, newton, sweep: int) -> float:
+    """`alpha_number` at x from the `_newton` result there."""
     if newton is None:
         return math.inf
-    if f.degree < 2:
-        return 0.0
-    coeffs = f.taylor_directional(x, _unit_directions(f.num_vars, sweep))
-    best = 0.0
-    for k in range(2, f.degree + 1):
-        vals = coeffs[:, k, :] @ newton[0].T
-        mk = float(np.max(np.linalg.norm(vals, axis=1)))
-        best = max(best, mk ** (1.0 / (k - 1)))
-    return best
+    b = _beta(newton[1])
+    return 0.0 if b == 0.0 else _gamma(f, x, newton[0], sweep) * b
 
 
 def alpha_number(f: PolyMap, x, sweep: int = DEFAULT_SWEEP) -> float:
     """Product of the step length and the higher-derivative scale."""
-    b = beta_number(f, x)
-    if not math.isfinite(b):
-        return math.inf
-    # a finite beta means Df(x) is surjective, so gamma is finite too
-    return 0.0 if b == 0.0 else gamma_number(f, x, sweep=sweep) * b
+    return _alpha(f, x, _newton(f, x), sweep)
 
 
 def newton_step(f: PolyMap, x) -> np.ndarray:
@@ -206,15 +217,14 @@ def newton_flow(f: PolyMap, x0, t_end: float,
         newton = _newton(f, y)
         return None if newton is None else -newton[1]
 
-    def beta(v) -> float:
-        return math.inf if v is None else float(np.linalg.norm(v))
-
-    alpha0 = alpha_number(f, x)
-    # the velocity at each accepted point gives its beta and is the next k1
-    k1 = velocity(x)
+    # one Newton step at x0 gives alpha0 and the first k1; the velocity at
+    # each accepted point gives its beta and is the next k1
+    newton0 = _newton(f, x)
+    alpha0 = _alpha(f, x, newton0, DEFAULT_SWEEP)
+    k1 = None if newton0 is None else -newton0[1]
     times = [0.0]
     points = [x.copy()]
-    betas = [beta(k1)]
+    betas = [_beta(k1)]
     t = 0.0
     aborted = False
     while t < t_end - 1e-15:
@@ -230,7 +240,7 @@ def newton_flow(f: PolyMap, x0, t_end: float,
         k1 = velocity(x)
         times.append(t)
         points.append(x.copy())
-        betas.append(beta(k1))
+        betas.append(_beta(k1))
     return FlowTrace(np.array(times), np.array(points), np.array(betas),
                      alpha0=alpha0,
                      hypothesis_met=alpha0 < ALPHA_FLOW_THRESHOLD,

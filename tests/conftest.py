@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from sah.polysys import (AffinePoly, AffineSystem, DegreePattern, HomoPoly,
-                         HomoSystem)
+from sah.polysys import AffinePoly, AffineSystem, HomoPoly, HomoSystem
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -17,24 +16,23 @@ def fixture_path(name: str) -> str:
 def two_points_system() -> AffineSystem:
     """F = (x^2 - 1) in R^1; solution set {-1, +1}."""
     p = AffinePoly(1, {(2,): 1.0, (0,): -1.0})
-    return AffineSystem(1, (p,), (), (), DegreePattern((2,), 1, 0))
+    return AffineSystem(1, (p,), (), (2,))
 
 
 def circle_system() -> AffineSystem:
     p = AffinePoly(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
-    return AffineSystem(2, (p,), (), (), DegreePattern((2,), 1, 0))
+    return AffineSystem(2, (p,), (), (2,))
 
 
-def disk_system(strict: bool = False) -> AffineSystem:
+def disk_system() -> AffineSystem:
     g = AffinePoly(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
-    return AffineSystem(2, (), (g,), (strict,), DegreePattern((2,), 0, 1))
+    return AffineSystem(2, (), (g,), (2,))
 
 
 def annulus_system() -> AffineSystem:
     g1 = AffinePoly(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
     g2 = AffinePoly(2, {(0, 0): 4.0, (2, 0): -1.0, (0, 2): -1.0})
-    return AffineSystem(2, (), (g1, g2), (False, False),
-                        DegreePattern((2, 2), 0, 2))
+    return AffineSystem(2, (), (g1, g2), (2, 2))
 
 
 def random_homo_poly(rng: np.random.Generator, num_vars: int,
@@ -88,8 +86,7 @@ def sphere_systems(draw):
                                             zip(dense.terms.items(), keep) if k}))
     pts = rng.standard_normal((48, num_vars))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    sys_ = HomoSystem(tuple(polys[:q]), tuple(polys[q:]),
-                      DegreePattern(degrees, q, s))
+    sys_ = HomoSystem(polys[:q], polys[q:])
     return sys_, pts
 
 

@@ -23,8 +23,8 @@ from sah.homology import BoundaryMatrix, homology_of_complex, smith_normal_form
 from sah.nerve import cech_nerve, min_enclosing_ball
 from sah.pipeline import (RunOptions, homology_algorithm, parse_system,
                           serialize_result)
-from sah.polysys import (DegreePattern, HomoPoly, HomoSystem,
-                         compose_rotation_system, scaled_homogenization)
+from sah.polysys import (HomoPoly, HomoSystem, compose_rotation_system,
+                         scaled_homogenization)
 from sah.shubsmale import PolyMap, beta_number, gamma_number, newton_flow
 from test_homology import gcd_minors_snf, rp2_complex
 from test_nerve import brute_force_meb
@@ -70,8 +70,11 @@ def test_criterion_02_golden_topology_fixtures(report):
 
 
 def test_criterion_03_strictness_invariance(report):
-    closed = homology_algorithm(disk_system(strict=False), FIXED_OPTS)
-    strict = homology_algorithm(disk_system(strict=True), FIXED_OPTS)
+    # the files differ only in the inequality's "strict" flag
+    closed = homology_algorithm(parse_system(fixture_path("disk_closed.json")),
+                                FIXED_OPTS)
+    strict = homology_algorithm(parse_system(fixture_path("disk_strict.json")),
+                                FIXED_OPTS)
     ok = closed.homology == strict.homology
     report(3, ok, f"disk closed/strict homology both {closed.homology.betti}")
 
@@ -221,12 +224,11 @@ def test_criterion_10_covering_audits(report):
         (scaled_homogenization(two_points_system()),
          [np.array([1.0, 1.0]) / math.sqrt(2.0),
           np.array([1.0, -1.0]) / math.sqrt(2.0)]),
-        (HomoSystem((HomoPoly(2, 1, {(0, 1): 1.0}),), (),
-                    DegreePattern((1,), 1, 0)),
+        (HomoSystem((HomoPoly(2, 1, {(0, 1): 1.0}),), ()),
          [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]),
     ]:
         res = covering(sys_)
-        d = sys_.pattern.max_degree
+        d = sys_.max_degree
         ok &= res.certified
         ok &= 71.0 * d ** 2.5 * res.k_star ** 2 * res.r_final < 1.0
         ok &= res.epsilon == pytest.approx(5.0 * d * res.k_star * res.r_final)

@@ -13,8 +13,8 @@ from sah.condition import (RANK_RTOL, Block, ConditionReport, Subtuple,
                            subtuples)
 from sah.covering import approx_member_mask
 from sah.errors import ContractViolation
-from sah.polysys import (DegreePattern, HomoPoly, HomoSystem,
-                         compose_rotation_system, weyl_norm, weyl_norm_poly)
+from sah.polysys import (HomoPoly, HomoSystem, compose_rotation_system,
+                         weyl_norm, weyl_norm_poly)
 
 
 def linear_x1() -> HomoPoly:
@@ -129,7 +129,7 @@ def test_kappa_subtuple_max_picks_worst():
     # tangent space... compare against direct enumeration
     g1 = HomoPoly(2, 1, {(0, 1): 1.0})
     g2 = HomoPoly(2, 1, {(1, 0): 1.0})
-    sys_ = HomoSystem((), (g1, g2), DegreePattern((1, 1), 0, 2))
+    sys_ = HomoSystem((), (g1, g2))
     x = np.array([1.0, 0.0])
     best, sub = kappa_subtuple_max(sys_, x)
     expected = max(kappa([], x), kappa([g1], x), kappa([g2], x),
@@ -349,7 +349,7 @@ def test_gram_bounds_at_the_rank_deficient_point():
     # criterion 5's point, with two random points of the same block
     f1 = HomoPoly(3, 1, {(1, 0, 0): 1.0, (0, 1, 0): 1.0})
     f2 = HomoPoly(3, 2, {(0, 2, 0): 1.0, (0, 0, 2): 1.0, (1, 1, 0): 1.0})
-    sys_ = HomoSystem((f1,), (f2,), DegreePattern((1, 2), 1, 1))
+    sys_ = HomoSystem((f1,), (f2,))
     pts = np.array([[1.0, 0.0, 0.0], [0.6, 0.0, 0.8], [0.0, 0.6, -0.8]])
     kernels = subtuple_kernels(sys_)
     block = Block(sys_.components, pts)

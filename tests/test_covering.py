@@ -11,14 +11,13 @@ from sah.covering import (approx_member_mask, ball_radius, certificate_holds,
                           covering, covering_fixed)
 from sah.errors import ContractViolation
 from sah.grid import grid_chunks, grid_points, shell_order
-from sah.polysys import (DegreePattern, HomoPoly, HomoSystem, Poly,
-                         scaled_homogenization, weyl_norm_poly)
+from sah.polysys import (HomoPoly, HomoSystem, Poly, scaled_homogenization,
+                         weyl_norm_poly)
 
 
 def linear_system() -> HomoSystem:
     """F = (X_1) on S^1; zeros at (+-1, 0)."""
-    return HomoSystem((HomoPoly(2, 1, {(0, 1): 1.0}),), (),
-                      DegreePattern((1,), 1, 0))
+    return HomoSystem((HomoPoly(2, 1, {(0, 1): 1.0}),), ())
 
 
 def _member(sys_, r, x) -> bool:
@@ -37,7 +36,7 @@ def test_approx_member_strict_comparisons():
 
 def test_approx_member_inequality():
     g = HomoPoly(2, 1, {(1, 0): 1.0})
-    sys_ = HomoSystem((), (g,), DegreePattern((1,), 0, 1))
+    sys_ = HomoSystem((), (g,))
     assert _member(sys_, 0.5, np.array([0.0, 1.0]))
     assert not _member(sys_, 0.5, np.array([-1.0, 0.0]))
 
@@ -53,7 +52,7 @@ def test_mask_matches_scalar(rng):
     # reference: the two strict comparisons, one point and one polynomial
     # at a time
     g = HomoPoly(2, 2, {(2, 0): 1.0, (1, 1): -0.5, (0, 2): -1.0})
-    sys_ = HomoSystem(linear_system().F, (g,), DegreePattern((1, 2), 1, 1))
+    sys_ = HomoSystem(linear_system().F, (g,))
     pts = rng.standard_normal((50, 2))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     mask = approx_member_mask(sys_, 0.3, pts)
@@ -100,7 +99,7 @@ def test_covering_certified_linear():
 def test_covering_two_points_postconditions():
     hsys = scaled_homogenization(two_points_system())
     res = covering(hsys)
-    d = hsys.pattern.max_degree
+    d = hsys.max_degree
     assert res.certified
     assert 71.0 * d ** 2.5 * res.k_star ** 2 * res.r_final < 1.0
     assert res.epsilon == pytest.approx(5.0 * d * res.k_star * res.r_final)
@@ -116,7 +115,7 @@ def test_covering_two_points_postconditions():
 def test_covering_gives_up_on_illposed():
     # double root: x^2 has kappa infinity at its zero, never certifies
     f = HomoPoly(2, 2, {(0, 2): 1.0})
-    sys_ = HomoSystem((f,), (), DegreePattern((2,), 1, 0))
+    sys_ = HomoSystem((f,), ())
     res = covering(sys_, max_iterations=5)
     assert not res.certified
     assert res.iterations == 5
@@ -127,8 +126,7 @@ def test_ties_go_to_the_first_subtuple_and_the_first_point():
     # F = (X1), G = (X0, X0): F^L for L = (0,) and L = (1,) are the same
     # overdetermined pair, with kappa sqrt(2) > kappa(F) = 1 at every point
     x0 = HomoPoly(2, 1, {(1, 0): 1.0})
-    sys_ = HomoSystem(linear_system().F, (x0, x0),
-                      DegreePattern((1, 1, 1), 1, 2))
+    sys_ = HomoSystem(linear_system().F, (x0, x0))
     pts = grid_points(1, 2)
     for x in pts[:3]:
         k, sub = kappa_subtuple_max(sys_, x)
@@ -204,7 +202,7 @@ def test_the_svd_runs_only_at_candidate_points(monkeypatch):
 def test_covering_fixed_audit_value():
     hsys = scaled_homogenization(two_points_system())
     res = covering_fixed(hsys, 0.125, 0.3)
-    d = hsys.pattern.max_degree
+    d = hsys.max_degree
     assert not res.certified
     assert res.epsilon == 0.3
     assert res.audit_hypothesis == pytest.approx(

@@ -20,8 +20,7 @@ import sys
 
 from sah.covering import covering_fixed
 from sah.nerve import cech_nerve
-from sah.pipeline import (RunOptions, homology_algorithm,
-                          normalize_strictness, parse_system,
+from sah.pipeline import (RunOptions, homology_algorithm, parse_system,
                           serialize_result)
 from sah.polysys import scaled_homogenization
 
@@ -37,7 +36,7 @@ NERVE_MAX_DIM = 3
 
 def _fixed_covering(name: str, r: float = FIXED_R):
     sys_ = parse_system(os.path.join(FIXTURES, f"{name}.json"))
-    hsys = scaled_homogenization(normalize_strictness(sys_))
+    hsys = scaled_homogenization(sys_)
     return covering_fixed(hsys, r, FIXED_EPS)
 
 

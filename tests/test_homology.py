@@ -15,7 +15,7 @@ from sah.homology import (BoundaryMatrix, HomologyGroups, boundary_matrix,
                           homology_of_complex, smith_normal_form,
                           unit_pivot_reduction)
 from sah.nerve import SimplicialComplex, cech_nerve
-from sah.pipeline import normalize_strictness, parse_system
+from sah.pipeline import parse_system
 from sah.polysys import scaled_homogenization
 
 
@@ -24,12 +24,12 @@ def full_complex(vertices: tuple[int, ...]) -> SimplicialComplex:
     simps = {}
     for k in range(len(vertices)):
         simps[k] = sorted(itertools.combinations(vertices, k + 1))
-    return SimplicialComplex(len(vertices), simps)
+    return SimplicialComplex(simps)
 
 
 def hollow_triangle() -> SimplicialComplex:
-    return SimplicialComplex(3, {0: [(0,), (1,), (2,)],
-                                 1: [(0, 1), (0, 2), (1, 2)]})
+    return SimplicialComplex({0: [(0,), (1,), (2,)],
+                              1: [(0, 1), (0, 2), (1, 2)]})
 
 
 def rp2_complex() -> SimplicialComplex:
@@ -39,8 +39,8 @@ def rp2_complex() -> SimplicialComplex:
     faces = sorted(tuple(sorted(v - 1 for v in f)) for f in faces)
     edges = sorted({(a, b) for f in faces
                     for a, b in itertools.combinations(f, 2)})
-    return SimplicialComplex(6, {0: [(i,) for i in range(6)],
-                                 1: edges, 2: faces})
+    return SimplicialComplex({0: [(i,) for i in range(6)],
+                              1: edges, 2: faces})
 
 
 def octahedron() -> SimplicialComplex:
@@ -50,8 +50,8 @@ def octahedron() -> SimplicialComplex:
                    itertools.product((0, 1), (2, 3), (4, 5)))
     edges = sorted({(a, b) for f in faces
                     for a, b in itertools.combinations(f, 2)})
-    return SimplicialComplex(6, {0: [(i,) for i in range(6)],
-                                 1: edges, 2: faces})
+    return SimplicialComplex({0: [(i,) for i in range(6)],
+                              1: edges, 2: faces})
 
 
 def integer_det(m: list[list[int]]) -> int:
@@ -157,7 +157,7 @@ def test_boundary_of_boundary_is_zero(rng):
 
 
 def test_boundary_matrix_rejects_open_complex():
-    bad = SimplicialComplex(3, {0: [(0,), (1,)], 1: [(0, 2)]})
+    bad = SimplicialComplex({0: [(0,), (1,)], 1: [(0, 2)]})
     with pytest.raises(ContractViolation):
         boundary_matrix(bad, 1)
 
@@ -210,7 +210,7 @@ def test_homology_groups_validation():
 
 
 def test_empty_complex():
-    h = homology_of_complex(SimplicialComplex(0, {}))
+    h = homology_of_complex(SimplicialComplex())
     assert h.betti == ()
 
 
@@ -224,8 +224,7 @@ def test_annulus_nerve_reduces_few_rows(monkeypatch):
     the top-down reduction of d_3, d_2, d_1 made 296,569 subtractions on
     this nerve (532/4,968/18,064/37,652 simplices)."""
     sys_ = parse_system(fixture_path("annulus.json"))
-    cov = covering_fixed(scaled_homogenization(normalize_strictness(sys_)),
-                         0.25, 0.15)
+    cov = covering_fixed(scaled_homogenization(sys_), 0.25, 0.15)
     nerve = cech_nerve(cov.points, cov.epsilon, max_dim=3)
     calls = []
     subtract = sah.homology._subtract
@@ -274,9 +273,7 @@ def closure(maximal) -> SimplicialComplex:
         for k in range(len(top)):
             simps.setdefault(k, set()).update(
                 itertools.combinations(top, k + 1))
-    verts = {v for (v,) in simps.get(0, ())}
-    return SimplicialComplex(max(verts, default=-1) + 1,
-                             {k: sorted(v) for k, v in simps.items()})
+    return SimplicialComplex({k: sorted(v) for k, v in simps.items()})
 
 
 RP2_FACES = rp2_complex().simplices[2]

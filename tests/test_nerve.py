@@ -205,6 +205,6 @@ def test_nerve_validation():
 
 
 def test_simplicial_complex_closure_check():
-    bad = SimplicialComplex(3, {0: [(0,), (1,), (2,)], 1: [(0, 1)],
-                                2: [(0, 1, 2)]})
+    bad = SimplicialComplex({0: [(0,), (1,), (2,)], 1: [(0, 1)],
+                             2: [(0, 1, 2)]})
     assert not bad.is_closed()

@@ -17,10 +17,8 @@ from sah.errors import ContractViolation, ParseError
 from sah.grid import grid_count, grid_points, shell_order
 from sah.nerve import cech_nerve
 from sah.pipeline import (RunOptions, emit_result, homology_algorithm,
-                          normalize_strictness, parse_system,
-                          serialize_result)
-from sah.polysys import (AffinePoly, AffineSystem, DegreePattern,
-                         scaled_homogenization)
+                          parse_system, serialize_result)
+from sah.polysys import AffineSystem, scaled_homogenization
 
 
 def test_run_options_validation():
@@ -37,16 +35,8 @@ def test_run_options_validation():
         RunOptions(mode="nonsense")
 
 
-def test_normalize_strictness():
-    sys_ = disk_system(strict=True)
-    out = normalize_strictness(sys_)
-    assert out.strict == (False,)
-    assert out.G == sys_.G
-    assert normalize_strictness(out) == out
-
-
 def test_trivial_unconstrained_system():
-    sys_ = AffineSystem(2, (), (), (), DegreePattern((), 0, 0))
+    sys_ = AffineSystem(2, (), (), ())
     res = homology_algorithm(sys_, RunOptions())
     assert res.certified
     assert res.homology.betti == (1, 0, 0)
@@ -74,23 +64,21 @@ def test_uncertified_run_makes_no_claim():
 def test_parse_two_points_fixture():
     sys_ = parse_system(fixture_path("two_points.json"))
     assert sys_.n == 1
-    assert sys_.pattern.q == 1 and sys_.pattern.s == 0
+    assert len(sys_.F) == 1 and sys_.G == ()
     assert sys_.F[0].terms == {(2,): 1.0, (0,): -1.0}
 
 
 def test_parse_strict_flag():
-    sys_ = parse_system(fixture_path("disk_strict.json"))
-    assert sys_.strict == (True,)
-    closed = parse_system(fixture_path("disk_closed.json"))
-    assert closed.strict == (False,)
-    assert closed.G[0].terms == sys_.G[0].terms
+    # the two files differ only in the inequality's "strict" flag
+    assert (parse_system(fixture_path("disk_strict.json"))
+            == parse_system(fixture_path("disk_closed.json")))
 
 
 @pytest.mark.parametrize("name,system", [
     ("two_points.json", two_points_system()),
     ("circle.json", circle_system()),
     ("disk_closed.json", disk_system()),
-    ("disk_strict.json", disk_system(strict=True)),
+    ("disk_strict.json", disk_system()),
     ("annulus.json", annulus_system()),
 ], ids=["two_points", "circle", "disk_closed", "disk_strict", "annulus"])
 def test_parse_fixture_equals_conftest_system(name, system):
@@ -125,6 +113,14 @@ def test_parse_rejects_wrong_schema(tmp_path):
         parse_system(str(p))
 
 
+def test_parse_rejects_a_degree_below_one_naming_the_polynomial(tmp_path):
+    doc = _two_points_doc(degree=0, terms=[{"coeff": "1", "exponents": [0]}])
+    p = tmp_path / "degree0.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=r"equalities\[0\]: field 'degree'"):
+        parse_system(str(p))
+
+
 def _two_points_doc(**equality) -> dict:
     eq = {"degree": 2, "terms": [{"coeff": "1", "exponents": [2]},
                                  {"coeff": "-1", "exponents": [0]}]}
@@ -143,8 +139,20 @@ FIXED = ["compute", "--mode", "fixed", "--r", "0.25", "--epsilon"]
     (_two_points_doc(terms=5), ["compute"]),
     (_two_points_doc(terms=["1"]), ["compute"]),
     (_two_points_doc(degree=[2]), ["compute"]),
+    # numbers that int() truncates: x^2.9 - 1 would run as x^2 - 1,
+    # n = 1.7 as n = 1 and degree true as degree 1
+    (_two_points_doc(terms=[{"coeff": "1", "exponents": [2.9]},
+                            {"coeff": "-1", "exponents": [0]}]), ["compute"]),
+    ({**_two_points_doc(), "n": 1.7}, ["compute"]),
+    (_two_points_doc(degree=True, terms=[{"coeff": "1", "exponents": [1]},
+                                         {"coeff": "-1", "exponents": [0]}]),
+     ["compute"]),
     ({**_two_points_doc(), "n": [1]}, ["compute"]),
     ({**_two_points_doc(), "equalities": 5}, ["compute"]),
+    # "false" is a string, which bool() reads as true
+    ({**_two_points_doc(), "inequalities": [
+        {"degree": 1, "strict": "false",
+         "terms": [{"coeff": "1", "exponents": [1]}]}]}, ["compute"]),
     (_two_points_doc(), FIXED + ["nan"]),
     (_two_points_doc(), FIXED + ["inf"]),
     (_two_points_doc(), ["compute", "--max-iterations", "0"]),
@@ -160,8 +168,9 @@ FIXED = ["compute", "--mode", "fixed", "--r", "0.25", "--epsilon"]
      ["compute", "--mode", "fixed", "--r", "1e-10", "--epsilon", "0.1"]),
     (None, ["grid", "--n", "3", "--r", "1e-10"]),
 ], ids=["top-level-array", "coeff-overflow", "terms-not-a-list",
-        "term-not-an-object", "degree-not-an-integer", "n-not-an-integer",
-        "equalities-not-a-list", "epsilon-nan", "epsilon-inf",
+        "term-not-an-object", "degree-not-an-integer", "exponent-float",
+        "n-float", "degree-bool", "n-not-an-integer", "equalities-not-a-list",
+        "strict-string", "epsilon-nan", "epsilon-inf",
         "max-iterations-zero", "max-iterations-negative",
         "fixed-max-iterations", "fixed-r-subnormal", "point-zero",
         "point-nan", "point-inf", "fixed-face-too-large",
@@ -396,3 +405,19 @@ def test_importing_the_cli_loads_neither_scipy_nor_shubsmale():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_stops_quietly_when_the_reader_closes_the_pipe():
+    # as in `sah grid --n 2 --r 0.05 | head -2`: no error line and no
+    # traceback at interpreter exit
+    src = os.path.dirname(os.path.dirname(sah.pipeline.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sah.cli", "grid", "--n", "2", "--r", "0.05"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    assert len(proc.stdout.readline().split()) == 3
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from conftest import (per_term_eval, per_term_gradient, random_homo_poly,
                       random_unit, sphere_systems, two_points_system)
 from sah.errors import ContractViolation
-from sah.polysys import (AffinePoly, AffineSystem, DegreePattern, HomoPoly,
+from sah.polysys import (AffinePoly, AffineSystem, HomoPoly, HomoSystem,
                          compose_rotation, homogenize, homogenize_poly,
                          multinomial, power_table, scaled_homogenization,
                          weyl_inner, weyl_norm, weyl_norm_poly)
@@ -20,15 +20,25 @@ def test_multinomial_values():
     assert multinomial(4, (2, 2)) == 6
 
 
-def test_degree_pattern_validation():
-    p = DegreePattern((2, 3), 1, 1)
-    assert p.max_degree == 3
-    assert p.equality_degrees() == (2,)
-    assert p.inequality_degrees() == (3,)
-    with pytest.raises(ContractViolation):
-        DegreePattern((2,), 2, 0)
-    with pytest.raises(ContractViolation):
-        DegreePattern((0,), 1, 0)
+def test_affine_system_degree_validation():
+    p = AffinePoly(1, {(1,): 1.0})
+    # a declared degree may exceed the actual one
+    assert AffineSystem(1, (p,), (p,), (2, 3)).degrees == (2, 3)
+    with pytest.raises(ContractViolation, match="one degree per polynomial"):
+        AffineSystem(1, (p,), (p,), (2,))
+    with pytest.raises(ContractViolation, match=">= 1"):
+        AffineSystem(1, (AffinePoly(1, {(0,): 1.0}),), (), (0,))
+    with pytest.raises(ContractViolation, match="exceeds its declared"):
+        AffineSystem(1, (AffinePoly(1, {(2,): 1.0}),), (), (1,))
+
+
+def test_homo_system_derives_its_max_degree():
+    f = HomoPoly(2, 2, {(2, 0): 1.0})
+    g = HomoPoly(2, 3, {(0, 3): 1.0})
+    assert HomoSystem((f,), (g,)).max_degree == 3
+    assert HomoSystem((), ()).max_degree == 1
+    with pytest.raises(ContractViolation, match=">= 1"):
+        HomoSystem((f,), (HomoPoly(2, 0, {(0, 0): 1.0}),))
 
 
 def test_homopoly_rejects_inhomogeneous():
@@ -85,7 +95,7 @@ def test_power_table_matches_the_per_term_evaluator(system):
     # one table of the system's top degree serves every component and
     # partial, with the per-term product's values bit for bit
     sys_, pts = system
-    table = power_table(pts, sys_.pattern.max_degree)
+    table = power_table(pts, sys_.max_degree)
     for p in sys_.components:
         assert np.array_equal(p.eval_table(table), per_term_eval(p, pts))
         assert np.array_equal(p.eval_many(pts), per_term_eval(p, pts))
@@ -153,21 +163,21 @@ def test_homogenize_degree_too_small():
 def test_affine_system_rejects_q_gt_n():
     p = AffinePoly(1, {(1,): 1.0})
     with pytest.raises(ContractViolation):
-        AffineSystem(1, (p, p), (), (), DegreePattern((1, 1), 2, 0))
+        AffineSystem(1, (p, p), (), (1, 1))
 
 
 def test_scaled_homogenization_doubles_squared_norm():
     sys_ = two_points_system()
     hsys = scaled_homogenization(sys_)
-    base = weyl_norm(homogenize(sys_))
-    assert weyl_norm(hsys) == pytest.approx(math.sqrt(2.0) * base)
+    base = weyl_norm(homogenize(sys_).components)
+    assert weyl_norm(hsys.components) == pytest.approx(math.sqrt(2.0) * base)
     # the appended inequality is ||F^h|| * X_0
-    assert hsys.pattern.degrees == (2, 1)
+    assert [p.degree for p in hsys.components] == [2, 1]
     assert hsys.G[-1].terms == {(1, 0): pytest.approx(base)}
 
 
 def test_scaled_homogenization_rejects_zero_system():
     z = AffinePoly(1, {})
-    sys_ = AffineSystem(1, (z,), (), (), DegreePattern((1,), 1, 0))
+    sys_ = AffineSystem(1, (z,), (), (1,))
     with pytest.raises(ContractViolation):
         scaled_homogenization(sys_)
