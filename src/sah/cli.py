@@ -6,21 +6,15 @@ Exit codes: 0 certified success, 2 uncertified completion, 1 errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import math
 import os
 import sys as _sys
 
-import numpy as np
-
-from .condition import condition_report, kappa_subtuple_max
 from .covering import DEFAULT_MAX_ITERATIONS
 from .errors import ContractViolation, ParseError
 from .grid import grid_chunks, grid_count, shell_order
-from .pipeline import (RunOptions, homology_algorithm, parse_system,
-                       serialize_result)
-from .polysys import scaled_homogenization
+from .pipeline import (RunOptions, condition_document, homology_algorithm,
+                       parse_system, serialize_result)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,24 +66,8 @@ def _cmd_compute(args) -> int:
 
 def _cmd_condition(args) -> int:
     system = parse_system(args.input)
-    x = np.array([float(v) for v in args.point.split(",")])
-    if len(x) != system.n + 1:
-        raise ContractViolation(
-            f"point needs {system.n + 1} homogeneous coordinates")
-    # scaling by the largest |x_i| first keeps the norm from overflowing
-    scale = np.abs(x).max()
-    if not 0.0 < scale < math.inf:
-        raise ContractViolation(f"point {args.point} must have finite "
-                                "coordinates, not all zero")
-    x = x / scale
-    x = x / np.linalg.norm(x)
-    hsys = scaled_homogenization(system)
-    report = condition_report(hsys.F, x, max_degree=hsys.max_degree)
-    k_sub, sub = kappa_subtuple_max(hsys, x)
-    doc = {**dataclasses.asdict(report), "kappa_subtuple_max": k_sub,
-           "subtuple": list(sub.indices)}
-    doc = {k: ("inf" if isinstance(v, float) and math.isinf(v) else v)
-           for k, v in doc.items()}
+    point = [float(v) for v in args.point.split(",")]
+    doc = condition_document(system, point)
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 

@@ -31,22 +31,6 @@ GRAM_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
-class Subtuple:
-    """Sorted subset of inequality indices appended to the equalities."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if list(idx) != sorted(set(idx)):
-            raise ContractViolation("subtuple indices must be strictly increasing")
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class ConditionReport:
     """Condition diagnostics of a system at a point of the sphere."""
 
@@ -242,29 +226,24 @@ def kappa(polys, x) -> float:
     return float(kappa_batch(*_one_point(polys, x))[0])
 
 
-def subtuples(s: int, max_len: int):
-    """All sorted index subsets of {0..s-1} with at most max_len elements."""
-    for ell in range(min(s, max_len) + 1):
-        for combo in itertools.combinations(range(s), ell):
-            yield Subtuple(combo)
-
-
-def subtuple_kernels(sys: HomoSystem) -> list[tuple[Subtuple, SubtupleKernel]]:
+def subtuple_kernels(sys: HomoSystem) -> list[tuple[tuple[int, ...], SubtupleKernel]]:
     """The admissible subtuples L of a system, each with its kernel for F^L.
 
-    Admissible subtuples satisfy q + |L| <= n + 1; they come in the order
-    of `subtuples` (by length, then lexicographic).  A kernel's rows index
-    `sys.components`, the polynomials of the system's blocks.
+    A subtuple is a sorted tuple of inequality indices; the admissible ones
+    satisfy q + |L| <= n + 1 and come by length, then lexicographic.  A
+    kernel's rows index `sys.components`, the polynomials of the system's
+    blocks.
     """
     q = len(sys.F)
     n = sys.sphere_dim
     if q > n + 1:
         raise ContractViolation("too many equalities for the subtuple maximum")
-    comps = sys.components
+    comps, s = sys.components, len(sys.G)
     out = []
-    for sub in subtuples(len(sys.G), n + 1 - q):
-        rows = tuple(range(q)) + tuple(q + i for i in sub.indices)
-        out.append((sub, SubtupleKernel(rows, weyl_norm(comps[i] for i in rows))))
+    for ell in range(min(s, n + 1 - q) + 1):
+        for sub in itertools.combinations(range(s), ell):
+            rows = tuple(range(q)) + tuple(q + i for i in sub)
+            out.append((sub, SubtupleKernel(rows, weyl_norm(comps[i] for i in rows))))
     return out
 
 
@@ -310,7 +289,7 @@ def block_kappa_max(kernels, block: Block) -> tuple[float, int, int]:
     return float(best[i]), int(candidates[i]), int(arg[i])
 
 
-def kappa_subtuple_max(sys: HomoSystem, x) -> tuple[float, Subtuple]:
+def kappa_subtuple_max(sys: HomoSystem, x) -> tuple[float, tuple[int, ...]]:
     """Maximum of kappa over the admissible inequality subtuples at x.
 
     A one-point call of `kappa_max_many`: returns the maximum and the first

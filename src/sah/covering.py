@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condition import Block, Subtuple, block_kappa_max, subtuple_kernels
+from .condition import Block, block_kappa_max, subtuple_kernels
 from .errors import ContractViolation
 from .grid import grid_chunks, grid_count, shell_order
-from .polysys import HomoSystem, weyl_norm_poly
+from .polysys import HomoSystem, weyl_norm
 
 DEFAULT_MAX_ITERATIONS = 60
 
@@ -40,7 +40,7 @@ class CoveringResult:
     certified: bool
     grid_size: int
     witness_point: np.ndarray | None = None
-    witness_subtuple: Subtuple | None = None
+    witness_subtuple: tuple[int, ...] | None = None
     audit_hypothesis: float | None = None
 
 
@@ -55,7 +55,7 @@ def _relaxation_mask(sys: HomoSystem, r: float, values: np.ndarray) -> np.ndarra
     mask = np.ones(len(values), dtype=bool)
     q = len(sys.F)
     for i, f in enumerate(sys.components):
-        bound = weyl_norm_poly(f) * r
+        bound = weyl_norm((f,)) * r
         mask &= (np.abs(values[:, i]) < bound if i < q
                  else values[:, i] > -bound)
     return mask
@@ -84,7 +84,7 @@ def _scan(sys: HomoSystem, r: float) -> dict:
     kernels = subtuple_kernels(sys)
     k_star = -math.inf
     witness = None
-    witness_sub = Subtuple(())
+    witness_sub = ()
     members = []
     for pts in grid_chunks(n, m):
         block = Block(sys.components, pts)

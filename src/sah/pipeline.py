@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys as _sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
-from .condition import ConditionReport, condition_report
+from .condition import condition_report, kappa_subtuple_max
 from .covering import (CoveringResult, approx_member_mask, covering,
                        covering_fixed, DEFAULT_MAX_ITERATIONS)
 from .errors import ContractViolation, ParseError
@@ -58,7 +60,6 @@ class RunResult:
 
     homology: HomologyGroups | None
     covering: CoveringResult
-    condition: ConditionReport | None
     max_dim: int
     boundary_ambiguous: bool
     wall_time_ms: float
@@ -76,7 +77,7 @@ def _trivial_result(sys: AffineSystem, max_dim: int, t0: float) -> RunResult:
                          certified=True, grid_size=0)
     return RunResult(
         homology=HomologyGroups(betti, ((),) * max_dim),
-        covering=cov, condition=None, max_dim=max_dim, boundary_ambiguous=False,
+        covering=cov, max_dim=max_dim, boundary_ambiguous=False,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0)
 
 
@@ -106,11 +107,6 @@ def homology_algorithm(sys: AffineSystem, opts: RunOptions) -> RunResult:
         mask = approx_member_mask(hsys, math.sqrt(d) * cov.r_final, cov.points)
         if not bool(mask.all()):
             raise ContractViolation("fixed-mode audit failed: X not in Approx")
-    cond = None
-    if cov.witness_point is not None:
-        polys = hsys.F + tuple(hsys.G[i] for i in cov.witness_subtuple.indices)
-        cond = condition_report(polys, cov.witness_point,
-                                max_degree=hsys.max_degree)
     homology = None
     ambiguous = False
     if cov.certified or opts.mode == "fixed":
@@ -125,7 +121,6 @@ def homology_algorithm(sys: AffineSystem, opts: RunOptions) -> RunResult:
     return RunResult(
         homology=homology,
         covering=cov,
-        condition=cond,
         max_dim=max_dim,
         boundary_ambiguous=ambiguous,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0)
@@ -140,6 +135,12 @@ _FLOAT_MAX = Fraction(np.finfo(float).max)
 # Room left at both ends of the float range for the square of the largest
 # coefficient; see `_common_scale`.
 _SQUARE_MARGIN = 2 ** 64
+# Fraction("1e3000000") builds 10^3000000, and the gcds of the scaling then
+# run for minutes.  A larger decimal exponent than the digits Python allows
+# an int is refused first: "1e5000" is the number "1" + 5000 zeros, which
+# that limit already refuses.
+_MAX_EXPONENT = _sys.int_info.default_max_str_digits
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
 
 
 def _is_integer(value) -> bool:
@@ -165,7 +166,11 @@ def _parse_poly(entry: dict, n: int, where: str) -> tuple[list, int]:
     pairs = []
     for t in raw_terms:
         try:
-            coeff = Fraction(str(t["coeff"]))
+            text = str(t["coeff"])
+            exponent = _EXPONENT.search(text)
+            if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+                raise ValueError(f"decimal exponent beyond +-{_MAX_EXPONENT}")
+            coeff = Fraction(text)
             exps = tuple(t["exponents"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: bad term ({exc})") from None
@@ -244,7 +249,7 @@ def parse_system(path: str) -> AffineSystem:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"invalid document: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
@@ -303,3 +308,27 @@ def emit_result(result: RunResult, include_timing: bool = False) -> dict:
 def serialize_result(result: RunResult, include_timing: bool = False) -> str:
     return json.dumps(emit_result(result, include_timing),
                       indent=2, sort_keys=True) + "\n"
+
+
+def condition_document(system: AffineSystem, point) -> dict:
+    """Condition document of a system at the homogeneous coordinates
+    `point` (x0, ..., xn), normalized onto the sphere: the
+    `condition_report` of the equalities of the scaled homogenization,
+    `kappa_subtuple_max` and the first inequality `subtuple` attaining it."""
+    x = np.array(point, dtype=float)
+    if len(x) != system.n + 1:
+        raise ContractViolation(
+            f"point needs {system.n + 1} homogeneous coordinates")
+    # scaling by the largest |x_i| first keeps the norm from overflowing
+    scale = np.abs(x).max()
+    if not 0.0 < scale < math.inf:
+        coords = ",".join(format(v, "g") for v in x)
+        raise ContractViolation(f"point {coords} must have finite "
+                                "coordinates, not all zero")
+    x = x / scale
+    x = x / np.linalg.norm(x)
+    hsys = scaled_homogenization(system)
+    report = condition_report(hsys.F, x, max_degree=hsys.max_degree)
+    k_sub, sub = kappa_subtuple_max(hsys, x)
+    doc = {k: _num(v) for k, v in asdict(report).items()}
+    return {**doc, "kappa_subtuple_max": _num(k_sub), "subtuple": list(sub)}

@@ -290,10 +290,6 @@ def weyl_inner(h: HomoPoly, h2: HomoPoly) -> float:
     return total
 
 
-def weyl_norm_poly(h: HomoPoly) -> float:
-    return math.sqrt(max(h.weyl_sq, 0.0))
-
-
 def weyl_norm(polys) -> float:
     """Norm of a tuple of homogeneous polynomials."""
     return math.sqrt(sum(h.weyl_sq for h in polys))

@@ -6,15 +6,14 @@ from hypothesis import given, settings
 
 from conftest import (per_term_eval, per_term_gradient, random_homo_poly,
                       random_unit, sphere_systems)
-from sah.condition import (RANK_RTOL, Block, ConditionReport, Subtuple,
-                           SubtupleKernel, block_kappa_max, condition_report,
-                           kappa, kappa_max_many, kappa_subtuple_max, mu_norm,
-                           mu_proj, reach_lower_bound, subtuple_kernels,
-                           subtuples)
+from sah.condition import (RANK_RTOL, Block, ConditionReport, SubtupleKernel,
+                           block_kappa_max, condition_report, kappa,
+                           kappa_max_many, kappa_subtuple_max, mu_norm,
+                           mu_proj, reach_lower_bound, subtuple_kernels)
 from sah.covering import approx_member_mask
 from sah.errors import ContractViolation
 from sah.polysys import (HomoPoly, HomoSystem, compose_rotation_system,
-                         weyl_norm, weyl_norm_poly)
+                         weyl_norm)
 
 
 def linear_x1() -> HomoPoly:
@@ -109,19 +108,17 @@ def test_point_must_be_unit():
         kappa([linear_x1()], np.array([2.0, 0.0]))
 
 
-def test_subtuples_enumeration():
-    subs = list(subtuples(3, 2))
-    assert subs[0] == Subtuple(())
-    assert len(subs) == 1 + 3 + 3
-    lengths = [len(s) for s in subs]
-    assert lengths == sorted(lengths)
-
-
-def test_subtuple_validation():
-    with pytest.raises(ContractViolation):
-        Subtuple((2, 1))
-    with pytest.raises(ContractViolation):
-        Subtuple((1, 1))
+def test_subtuple_kernels_enumeration():
+    # one equality and three inequalities on S^2 admit subtuples of length
+    # at most 2, by length and then lexicographic; a kernel's rows are the
+    # equality's and those of its inequalities among the components
+    x = [HomoPoly(3, 1, {e: 1.0}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    kernels = subtuple_kernels(HomoSystem((x[0],), (x[1], x[2], x[0])))
+    subs = [sub for sub, _ in kernels]
+    assert subs == [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+    assert [kern.rows for _, kern in kernels] == [
+        (0,), (0, 1), (0, 2), (0, 3), (0, 1, 2), (0, 1, 3), (0, 2, 3)]
+    assert kernels[5][1].norm == math.sqrt(3.0)
 
 
 def test_kappa_subtuple_max_picks_worst():
@@ -135,7 +132,7 @@ def test_kappa_subtuple_max_picks_worst():
     expected = max(kappa([], x), kappa([g1], x), kappa([g2], x),
                    kappa([g1, g2], x))
     assert best == pytest.approx(expected)
-    assert sub == Subtuple((0, 1))
+    assert sub == (0, 1)
 
 
 def test_reach_lower_bound():
@@ -253,9 +250,9 @@ def test_rank_deficient_point_matches_reference():
 def per_term_mask(sys_, r, pts) -> np.ndarray:
     mask = np.ones(len(pts), dtype=bool)
     for f in sys_.F:
-        mask &= np.abs(per_term_eval(f, pts)) < weyl_norm_poly(f) * r
+        mask &= np.abs(per_term_eval(f, pts)) < weyl_norm((f,)) * r
     for g in sys_.G:
-        mask &= per_term_eval(g, pts) > -weyl_norm_poly(g) * r
+        mask &= per_term_eval(g, pts) > -weyl_norm((g,)) * r
     return mask
 
 
@@ -339,8 +336,8 @@ def test_gram_bounds_at_near_deficient_points(angle, rng):
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     kern = SubtupleKernel((0, 1), weyl_norm(polys))
     block = Block(polys, pts)
-    assert_bounds_bracket([(Subtuple(()), kern)], block)
-    assert_block_max_is_the_whole_blocks([(Subtuple(()), kern)], block)
+    assert_bounds_bracket([((), kern)], block)
+    assert_block_max_is_the_whole_blocks([((), kern)], block)
     exact = kern.kappa_many(block)[0]
     assert math.isinf(exact) == (angle < RANK_RTOL)
 

@@ -6,13 +6,13 @@ import pytest
 
 import sah.condition
 from conftest import annulus_system, two_points_system
-from sah.condition import Subtuple, kappa_subtuple_max, subtuple_kernels
+from sah.condition import kappa_subtuple_max, subtuple_kernels
 from sah.covering import (approx_member_mask, ball_radius, certificate_holds,
                           covering, covering_fixed)
 from sah.errors import ContractViolation
 from sah.grid import grid_chunks, grid_points, shell_order
 from sah.polysys import (HomoPoly, HomoSystem, Poly, scaled_homogenization,
-                         weyl_norm_poly)
+                         weyl_norm)
 
 
 def linear_system() -> HomoSystem:
@@ -57,8 +57,8 @@ def test_mask_matches_scalar(rng):
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     mask = approx_member_mask(sys_, 0.3, pts)
     for i, x in enumerate(pts):
-        want = (all(abs(f(x)) < weyl_norm_poly(f) * 0.3 for f in sys_.F)
-                and all(h(x) > -weyl_norm_poly(h) * 0.3 for h in sys_.G))
+        want = (all(abs(f(x)) < weyl_norm((f,)) * 0.3 for f in sys_.F)
+                and all(h(x) > -weyl_norm((h,)) * 0.3 for h in sys_.G))
         assert mask[i] == want
     assert 0 < mask.sum() < len(pts)
 
@@ -131,9 +131,9 @@ def test_ties_go_to_the_first_subtuple_and_the_first_point():
     for x in pts[:3]:
         k, sub = kappa_subtuple_max(sys_, x)
         assert k == pytest.approx(math.sqrt(2.0))
-        assert sub == Subtuple((0,))
+        assert sub == (0,)
     res = covering_fixed(sys_, 0.5, 0.1)
-    assert res.witness_subtuple == Subtuple((0,))
+    assert res.witness_subtuple == (0,)
     assert np.array_equal(res.witness_point, pts[0])
 
 

@@ -47,7 +47,7 @@ def _fixed_snapshot(name: str, r: float = FIXED_R) -> dict:
         "audit_hypothesis": repr(cov.audit_hypothesis),
         "grid_size": cov.grid_size,
         "witness_point": [repr(float(v)) for v in cov.witness_point],
-        "witness_subtuple": list(cov.witness_subtuple.indices),
+        "witness_subtuple": list(cov.witness_subtuple),
         "num_points": len(cov.points),
         "points_sha256": hashlib.sha256(cov.points.tobytes()).hexdigest(),
     }

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,18 @@ def test_two_points_certified_run():
     assert res.homology.torsion == ((), ())
     # dimension bookkeeping: covering ran on S^1, ambient R^2
     assert res.covering.points.shape[1] == 2
+
+
+def test_runs_compute_no_condition_report(monkeypatch):
+    # the report is the `condition` command's; a run reports the covering
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run computed a condition report")
+    monkeypatch.setattr(sah.pipeline, "condition_report", refuse)
+    res = homology_algorithm(annulus_system(), RunOptions(
+        mode="fixed", r_override=0.25, epsilon_override=0.15, max_dim=1))
+    assert res.homology.betti == (1,)
+    res = homology_algorithm(two_points_system(), RunOptions())
+    assert res.certified and res.homology.betti == (2, 0)
 
 
 def test_uncertified_run_makes_no_claim():
@@ -129,12 +142,21 @@ def _two_points_doc(**equality) -> dict:
 
 
 FIXED = ["compute", "--mode", "fixed", "--r", "0.25", "--epsilon"]
+# raw text: json.dumps of this nesting would recurse too deep itself
+NESTED = "[" * 100000 + "]" * 100000
 
 
 @pytest.mark.parametrize("doc,argv", [
     ([_two_points_doc()], ["compute"]),
     (_two_points_doc(terms=[{"coeff": "1e400", "exponents": [2]},
                             {"coeff": "-1e-400", "exponents": [0]}]),
+     ["compute"]),
+    # reading 1e3000000 exactly would take seconds, scaling it minutes
+    (_two_points_doc(terms=[{"coeff": "1e3000000", "exponents": [2]},
+                            {"coeff": "-1e3000000", "exponents": [0]}]),
+     ["compute"]),
+    (_two_points_doc(terms=[{"coeff": "1e-3000000", "exponents": [2]},
+                            {"coeff": "-1e-3000000", "exponents": [0]}]),
      ["compute"]),
     (_two_points_doc(terms=5), ["compute"]),
     (_two_points_doc(terms=["1"]), ["compute"]),
@@ -167,27 +189,32 @@ FIXED = ["compute", "--mode", "fixed", "--r", "0.25", "--epsilon"]
     (json.loads(Path(fixture_path("annulus.json")).read_text()),
      ["compute", "--mode", "fixed", "--r", "1e-10", "--epsilon", "0.1"]),
     (None, ["grid", "--n", "3", "--r", "1e-10"]),
-], ids=["top-level-array", "coeff-overflow", "terms-not-a-list",
+    (NESTED, ["compute"]),
+    (NESTED, ["condition", "--point", "1,1"]),
+], ids=["top-level-array", "coeff-overflow", "exponent-huge",
+        "exponent-tiny", "terms-not-a-list",
         "term-not-an-object", "degree-not-an-integer", "exponent-float",
         "n-float", "degree-bool", "n-not-an-integer", "equalities-not-a-list",
         "strict-string", "epsilon-nan", "epsilon-inf",
         "max-iterations-zero", "max-iterations-negative",
         "fixed-max-iterations", "fixed-r-subnormal", "point-zero",
         "point-nan", "point-inf", "fixed-face-too-large",
-        "grid-face-too-large"])
+        "grid-face-too-large", "nested-compute", "nested-condition"])
 @pytest.mark.filterwarnings("error")
 def test_cli_malformed_input_is_an_error_not_a_traceback(doc, argv, tmp_path,
                                                           capsys):
     if doc is not None:
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
+        p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         argv = argv[:1] + ["--input", str(p)] + argv[1:]
+    start = time.perf_counter()
     assert cli_main(argv) == 1
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     # one short line, e.g. no coefficient printed as a 400-digit fraction
     assert len(err) < 200 and err.count("\n") == 1
-    if argv[0] == "condition":
+    if argv[0] == "condition" and "invalid document" not in err:
         assert argv[-1] in err
 
 
@@ -358,8 +385,17 @@ def test_cli_condition_reports_the_subtuple_maximum(capsys):
     sys_ = scaled_homogenization(parse_system(fixture_path("annulus.json")))
     want, sub = kappa_subtuple_max(sys_, np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
     assert doc["kappa_subtuple_max"] == want
-    assert doc["subtuple"] == list(sub.indices)
+    assert doc["subtuple"] == list(sub)
     assert 1.0 < doc["kappa_subtuple_max"] < math.inf
+    # the whole document, byte for byte, at a point off the two zeros
+    assert cli_main(["condition", "--input", fixture_path("two_points.json"),
+                     "--point", "0,1"]) == 0
+    want = {"dist_to_illposed_lower": 1.0, "kappa": 1.4142135623730951,
+            "kappa_subtuple_max": 2.0, "mu_norm": 1.0000000000000002,
+            "mu_proj": "inf", "reach_lower": 0.03571428571428571,
+            "residual_ratio": 0.7071067811865475, "subtuple": [0]}
+    assert capsys.readouterr().out == json.dumps(want, indent=2,
+                                                 sort_keys=True) + "\n"
 
 
 def test_degrees_above_n_are_zero_without_building_their_simplices(

@@ -10,7 +10,7 @@ from sah.errors import ContractViolation
 from sah.polysys import (AffinePoly, AffineSystem, HomoPoly, HomoSystem,
                          compose_rotation, homogenize, homogenize_poly,
                          multinomial, power_table, scaled_homogenization,
-                         weyl_inner, weyl_norm, weyl_norm_poly)
+                         weyl_inner, weyl_norm)
 
 
 def test_multinomial_values():
@@ -49,10 +49,10 @@ def test_homopoly_rejects_inhomogeneous():
 def test_weyl_norm_examples():
     # X0^2 + X1^2: both weights are 1
     h = HomoPoly(2, 2, {(2, 0): 1.0, (0, 2): 1.0})
-    assert weyl_norm_poly(h) == pytest.approx(math.sqrt(2.0))
+    assert weyl_norm((h,)) == pytest.approx(math.sqrt(2.0))
     # X0 X1 has multinomial weight 2
     h2 = HomoPoly(2, 2, {(1, 1): 1.0})
-    assert weyl_norm_poly(h2) == pytest.approx(1.0 / math.sqrt(2.0))
+    assert weyl_norm((h2,)) == pytest.approx(1.0 / math.sqrt(2.0))
 
 
 def test_weyl_inner_requires_matching_shape():
@@ -70,7 +70,7 @@ def test_weyl_norm_orthogonal_invariance(rng):
         h = random_homo_poly(rng, nv, d)
         u, _ = np.linalg.qr(rng.standard_normal((nv, nv)))
         hr = compose_rotation(h, u)
-        assert weyl_norm_poly(hr) == pytest.approx(weyl_norm_poly(h), rel=1e-9)
+        assert weyl_norm((hr,)) == pytest.approx(weyl_norm((h,)), rel=1e-9)
 
 
 def test_compose_rotation_evaluates_correctly(rng):
