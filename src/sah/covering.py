@@ -27,6 +27,11 @@ CERTIFICATE_FACTOR = 71.0
 CERTIFICATE_EXPONENT = 2.5
 EPSILON_FACTOR = 5.0
 
+# `covering` scans every pass of fewer grid points than this, and bounds
+# k* on larger ones with an absolute margin on 1/kappa.
+ALWAYS_SCAN_POINTS = 1 << 16
+KAPPA_MARGIN = 1e-6
+
 
 @dataclass(frozen=True)
 class CoveringResult:
@@ -113,22 +118,55 @@ def ball_radius(max_degree: int, k_star: float, r: float) -> float:
     return EPSILON_FACTOR * max_degree * k_star * r
 
 
+def kappa_lower_bound(max_degree: int, k_best: float, r: float) -> float:
+    """A lower bound on the k* of a pass of radius r, from the largest k*
+    scanned so far: 1 / (1/k_best + D r + KAPPA_MARGIN); see `covering`."""
+    return 1.0 / (1.0 / k_best + max_degree * r + KAPPA_MARGIN)
+
+
 def covering(sys: HomoSystem,
              max_iterations: int = DEFAULT_MAX_ITERATIONS) -> CoveringResult:
-    """Certified covering: r = 2^-i for i = 1, 2, ... until the condition
-    certificate holds.
+    """Certified covering: the first r = 2^-i, i = 1, 2, ..., at which the
+    condition certificate holds, else pass `max_iterations` uncertified.
 
-    The loop cannot terminate on ill-posed systems; the iteration cap
-    converts divergence into a result with certified=False and the
-    diagnostics of the last pass.  At least one pass runs.
+    Passes below `ALWAYS_SCAN_POINTS` grid points and the last pass are
+    always scanned; a larger one is skipped when `kappa_lower_bound` fails
+    the certificate.  The result is that of scanning every pass:
+
+    - Lipschitz bound.  1/kappa(F^L, .) is D-Lipschitz in the geodesic
+      distance on S^n (Buergisser and Cucker, *Condition*, 2013), so is
+      1/kappa_max, their minimum over L; and kappa >= 1.
+    - Covering radius.  Pass j's grid comes within rho_j < r_j of every
+      point of S^n (proof in `grid`), so within r_j of the witness of
+      k_best, the largest k* scanned so far: pass j's k* is at least
+      1 / (1/k_best + D r_j).  k_best = 1 before any scan, by kappa >= 1.
+    - Floating point.  A polynomial value errs by about (terms) * eps *
+      ||f||, as sum |c_a x^a| <= ||f|| on the sphere (Cauchy-Schwarz in
+      the Weyl norm); the residual ratio and sigma_q / ||F^L|| are at most
+      1, and the SVD errs by a small multiple of eps * sigma_1.  The
+      RANK_RTOL cutoff lowers 1/kappa by at most 1e-10, and criterion 4
+      measures a Lipschitz excess of at most 1e-8.  KAPPA_MARGIN = 1e-6
+      covers these at both points and the rounding of the bound itself.
+    - First certifying pass.  `certificate_holds` multiplies positive,
+      correctly rounded factors, so it is monotone in k*: failing at the
+      lower bound, it fails at pass j's k*.  A skipped pass is never the
+      first to certify, so the first scanned pass that certifies is the
+      full loop's; if none does, both end at pass `max_iterations`.
     """
     if max_iterations < 1:
         raise ContractViolation("max_iterations must be at least 1")
-    max_degree = sys.max_degree
+    max_degree, n = sys.max_degree, sys.sphere_dim
+    k_best = 1.0
     for iterations in range(1, max_iterations + 1):
-        scan = _scan(sys, 2.0 ** -iterations)
-        certified = certificate_holds(max_degree, scan["k_star"],
-                                      scan["r_final"])
+        r = 2.0 ** -iterations
+        if (iterations < max_iterations
+                and grid_count(n, shell_order(n, r)) >= ALWAYS_SCAN_POINTS
+                and not certificate_holds(
+                    max_degree, kappa_lower_bound(max_degree, k_best, r), r)):
+            continue
+        scan = _scan(sys, r)
+        k_best = max(k_best, scan["k_star"])
+        certified = certificate_holds(max_degree, scan["k_star"], r)
         if certified:
             break
     return CoveringResult(

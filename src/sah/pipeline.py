@@ -143,6 +143,16 @@ _MAX_EXPONENT = _sys.int_info.default_max_str_digits
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
 
 
+def _json_integer(text: str) -> int:
+    """A JSON integer; beyond Python's digit limit, a document error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"invalid document: a JSON integer of "
+                         f"{len(text.lstrip('-'))} digits exceeds the limit "
+                         f"of {_sys.get_int_max_str_digits()} digits") from None
+
+
 def _is_integer(value) -> bool:
     """A JSON integer: not a float such as 2.9 or 2.0, and not a boolean."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -248,7 +258,7 @@ def parse_system(path: str) -> AffineSystem:
     inequality's boolean 'strict' flag is dropped (see `AffineSystem`)."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_json_integer)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"invalid document: {exc}") from None
     if not isinstance(doc, dict):

@@ -1,18 +1,25 @@
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sah.condition
-from conftest import annulus_system, two_points_system
+from conftest import annulus_system, sphere_systems, two_points_system
 from sah.condition import kappa_subtuple_max, subtuple_kernels
-from sah.covering import (approx_member_mask, ball_radius, certificate_holds,
-                          covering, covering_fixed)
+from sah.covering import (DEFAULT_MAX_ITERATIONS, KAPPA_MARGIN, CoveringResult,
+                          approx_member_mask, ball_radius, certificate_holds,
+                          covering, covering_fixed, kappa_lower_bound)
 from sah.errors import ContractViolation
-from sah.grid import grid_chunks, grid_points, shell_order
+from sah.grid import grid_chunks, grid_count, grid_points, shell_order
 from sah.polysys import (HomoPoly, HomoSystem, Poly, scaled_homogenization,
                          weyl_norm)
+
+# the module: `sah.covering` is the function the package exports
+covering_module = sys.modules["sah.covering"]
 
 
 def linear_system() -> HomoSystem:
@@ -213,3 +220,146 @@ def test_covering_fixed_validation():
     hsys = scaled_homogenization(two_points_system())
     with pytest.raises(ContractViolation):
         covering_fixed(hsys, 0.125, 0.0)
+
+
+def full_loop(sys_: HomoSystem,
+              max_iterations: int = DEFAULT_MAX_ITERATIONS) -> CoveringResult:
+    """The certified loop that scans every pass: the oracle of `covering`."""
+    for iterations in range(1, max_iterations + 1):
+        scan = covering_module._scan(sys_, 2.0 ** -iterations)
+        certified = certificate_holds(sys_.max_degree, scan["k_star"],
+                                      scan["r_final"])
+        if certified:
+            break
+    return CoveringResult(
+        **scan,
+        epsilon=ball_radius(sys_.max_degree, scan["k_star"], scan["r_final"]),
+        iterations=iterations, certified=certified)
+
+
+def assert_same_covering(got: CoveringResult, want: CoveringResult) -> None:
+    assert got.iterations == want.iterations
+    assert got.certified == want.certified
+    assert got.k_star == want.k_star
+    assert got.r_final == want.r_final
+    assert got.epsilon == want.epsilon
+    assert np.array_equal(got.witness_point, want.witness_point)
+    assert got.witness_subtuple == want.witness_subtuple
+    assert np.array_equal(got.points, want.points)
+    assert got.grid_size == want.grid_size
+
+
+def scanned_passes(monkeypatch) -> list[int]:
+    """The passes i = -log2 r of the `_scan` calls made from now on."""
+    passes = []
+    scan = covering_module._scan
+
+    def record(sys_, r):
+        passes.append(-math.frexp(r)[1] + 1)
+        return scan(sys_, r)
+
+    monkeypatch.setattr(covering_module, "_scan", record)
+    return passes
+
+
+def quadratic_system(c: float) -> HomoSystem:
+    """F = (X0^2 - c X1^2) on S^1; k* = sqrt(1 + c^2) on every grid."""
+    return HomoSystem((HomoPoly(2, 2, {(2, 0): 1.0, (0, 2): -c}),), ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(sphere_systems(), st.data())
+def test_skipping_passes_matches_the_full_loop(system, data):
+    # with no pass always scanned, the bound alone decides on small grids;
+    # the argument holds for any positive certificate factor, and a small
+    # one lets these coarse grids certify, near where the bound decides
+    sys_, _ = system
+    max_iterations = data.draw(
+        st.integers(1, 12 if sys_.sphere_dim == 1 else 4), "max_iterations")
+    factor = data.draw(st.floats(1e-3, 71.0), "certificate factor")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covering_module, "ALWAYS_SCAN_POINTS", 0)
+        mp.setattr(covering_module, "CERTIFICATE_FACTOR", factor)
+        want = full_loop(sys_, max_iterations)
+        passes = scanned_passes(mp)
+        got = covering(sys_, max_iterations)
+    assert passes[-1] == got.iterations
+    assert got.certified or got.iterations == max_iterations
+    assert_same_covering(got, want)
+
+
+@pytest.mark.parametrize("make", [
+    linear_system, lambda: scaled_homogenization(two_points_system())])
+def test_covering_matches_the_full_loop(make):
+    sys_ = make()
+    assert_same_covering(covering(sys_), full_loop(sys_))
+
+
+def test_the_last_pass_is_always_scanned(monkeypatch):
+    # kappa = 1 on S^1 for a linear form: the certificate first holds at
+    # r = 2^-7, so with no pass always scanned only the last pass runs
+    monkeypatch.setattr(covering_module, "ALWAYS_SCAN_POINTS", 0)
+    passes = scanned_passes(monkeypatch)
+    res = covering(linear_system(), max_iterations=3)
+    assert passes == [3]
+    assert res.iterations == 3 and not res.certified
+    passes.clear()
+    assert covering(linear_system()).iterations == 7
+    assert passes == [7]
+
+
+@pytest.mark.parametrize("always_scan,max_iterations,want", [
+    (0, 12, [9, 12]), (1 << 16, 14, list(range(1, 13)) + [14])])
+def test_an_illposed_system_returns_its_last_pass(monkeypatch, always_scan,
+                                                  max_iterations, want):
+    # x^2 has kappa = inf at its zero (1, 0), a grid point of every pass.
+    # kappa >= 1 rules out passes 1-8 with D = 2; once k* = inf is scanned,
+    # only the last pass remains
+    monkeypatch.setattr(covering_module, "ALWAYS_SCAN_POINTS", always_scan)
+    passes = scanned_passes(monkeypatch)
+    sys_ = HomoSystem((HomoPoly(2, 2, {(0, 2): 1.0}),), ())
+    res = covering(sys_, max_iterations)
+    assert passes == want
+    assert res.k_star == math.inf and not res.certified
+    assert res.iterations == max_iterations
+    assert res.r_final == 2.0 ** -max_iterations
+    assert res.grid_size == grid_count(1, 2 ** max_iterations)
+
+
+def test_a_pass_of_many_points_that_cannot_certify_is_skipped(monkeypatch):
+    # k* = sqrt(26) = 5.099 certifies at r = 2^-14, not at 2^-13, whose
+    # grid has 2^16 points: passes 1-12 are always scanned and pass 13 is
+    # skipped
+    sys_ = quadratic_system(5.0)
+    want = full_loop(sys_)
+    assert want.iterations == 14
+    assert grid_count(1, shell_order(1, 2.0 ** -13)) == 1 << 16
+    passes = scanned_passes(monkeypatch)
+    got = covering(sys_)
+    assert passes == list(range(1, 13)) + [14]
+    assert_same_covering(got, want)
+
+
+@pytest.mark.parametrize("k", [1.0, 2.5, 8.19, 1e6, math.inf])
+@pytest.mark.parametrize("degree", [1, 2, 3, 7])
+def test_the_kappa_lower_bound_is_below_the_lipschitz_bound(k, degree):
+    for i in range(1, 61):
+        r = 2.0 ** -i
+        bound = kappa_lower_bound(degree, k, r)
+        assert 0.0 < bound < 1.0 / (1.0 / k + degree * r)
+        assert bound == 1.0 / (1.0 / k + degree * r + KAPPA_MARGIN)
+
+
+@pytest.mark.parametrize("make,passes", [
+    (lambda: scaled_homogenization(two_points_system()), 12),
+    (lambda: quadratic_system(0.5), 12),
+    (lambda: scaled_homogenization(annulus_system()), 4)])
+def test_each_pass_is_above_the_bound_from_every_other_pass(make, passes):
+    # the bound holds between any two grids, coarser or finer
+    sys_ = make()
+    d = sys_.max_degree
+    k = [covering_module._scan(sys_, 2.0 ** -i)["k_star"]
+         for i in range(1, passes + 1)]
+    for i, k_i in enumerate(k):
+        for j, k_j in enumerate(k):
+            assert k_j >= kappa_lower_bound(d, k_i, 2.0 ** -(j + 1))

@@ -144,6 +144,10 @@ def _two_points_doc(**equality) -> dict:
 FIXED = ["compute", "--mode", "fixed", "--r", "0.25", "--epsilon"]
 # raw text: json.dumps of this nesting would recurse too deep itself
 NESTED = "[" * 100000 + "]" * 100000
+# raw text: a coefficient written as a JSON integer of 5,001 digits, more
+# than Python converts (json.dumps of that int would refuse it itself)
+LONG_INTEGER = json.dumps(_two_points_doc()).replace(
+    '"coeff": "1"', '"coeff": 1' + "0" * 5000, 1)
 
 
 @pytest.mark.parametrize("doc,argv", [
@@ -191,6 +195,7 @@ NESTED = "[" * 100000 + "]" * 100000
     (None, ["grid", "--n", "3", "--r", "1e-10"]),
     (NESTED, ["compute"]),
     (NESTED, ["condition", "--point", "1,1"]),
+    (LONG_INTEGER, ["compute"]),
 ], ids=["top-level-array", "coeff-overflow", "exponent-huge",
         "exponent-tiny", "terms-not-a-list",
         "term-not-an-object", "degree-not-an-integer", "exponent-float",
@@ -199,7 +204,8 @@ NESTED = "[" * 100000 + "]" * 100000
         "max-iterations-zero", "max-iterations-negative",
         "fixed-max-iterations", "fixed-r-subnormal", "point-zero",
         "point-nan", "point-inf", "fixed-face-too-large",
-        "grid-face-too-large", "nested-compute", "nested-condition"])
+        "grid-face-too-large", "nested-compute", "nested-condition",
+        "integer-too-long"])
 @pytest.mark.filterwarnings("error")
 def test_cli_malformed_input_is_an_error_not_a_traceback(doc, argv, tmp_path,
                                                           capsys):
@@ -214,8 +220,18 @@ def test_cli_malformed_input_is_an_error_not_a_traceback(doc, argv, tmp_path,
     assert err.startswith("error: ")
     # one short line, e.g. no coefficient printed as a 400-digit fraction
     assert len(err) < 200 and err.count("\n") == 1
+    assert "set_int_max_str_digits" not in err
     if argv[0] == "condition" and "invalid document" not in err:
         assert argv[-1] in err
+
+
+def test_parse_names_the_digit_limit_of_a_long_integer(tmp_path):
+    p = tmp_path / "long.json"
+    p.write_text(LONG_INTEGER)
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError, match=rf"^invalid document: a JSON integer "
+                       rf"of 5001 digits exceeds the limit of {limit} digits$"):
+        parse_system(str(p))
 
 
 def test_emit_result_document_fields():
