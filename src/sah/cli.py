@@ -11,14 +11,17 @@ import os
 import sys as _sys
 
 from .covering import DEFAULT_MAX_ITERATIONS
-from .errors import ContractViolation, ParseError
 from .grid import grid_chunks, grid_count, shell_order
 from .pipeline import (RunOptions, condition_document, homology_algorithm,
                        parse_system, serialize_result)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # to `main` (exit 1); 2 means uncertified
+            raise ValueError(message)
+
+    parser = Parser(
         prog="sah",
         description="Homology of basic semialgebraic sets via condition numbers")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -84,10 +87,10 @@ def _cmd_grid(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     commands = {"compute": _cmd_compute, "condition": _cmd_condition,
                 "grid": _cmd_grid}
     try:
+        args = _build_parser().parse_args(argv)
         code = commands[args.command](args)
         _sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
@@ -98,7 +101,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, _sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ContractViolation, ParseError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -1,5 +1,4 @@
 import math
-import sys
 from collections import Counter
 
 import numpy as np
@@ -8,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sah.condition
+import sah.covering as covering_module
 from conftest import annulus_system, sphere_systems, two_points_system
 from sah.condition import kappa_subtuple_max, subtuple_kernels
 from sah.covering import (DEFAULT_MAX_ITERATIONS, KAPPA_MARGIN, CoveringResult,
@@ -17,9 +17,6 @@ from sah.errors import ContractViolation
 from sah.grid import grid_chunks, grid_count, grid_points, shell_order
 from sah.polysys import (HomoPoly, HomoSystem, Poly, scaled_homogenization,
                          weyl_norm)
-
-# the module: `sah.covering` is the function the package exports
-covering_module = sys.modules["sah.covering"]
 
 
 def linear_system() -> HomoSystem:

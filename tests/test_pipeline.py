@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -196,6 +197,14 @@ LONG_INTEGER = json.dumps(_two_points_doc()).replace(
     (NESTED, ["compute"]),
     (NESTED, ["condition", "--point", "1,1"]),
     (LONG_INTEGER, ["compute"]),
+    (_two_points_doc(), ["compute", "--max-dim", "0"]),
+    (_two_points_doc(terms=[{"coeff": "1", "exponents": [-1]}]), ["compute"]),
+    (_two_points_doc(terms=[{"coeff": "1", "exponents": [3]}]), ["compute"]),
+    # usage errors: argparse alone would print its usage and exit 2
+    (None, ["compute"]),
+    (_two_points_doc(), ["compute", "--max-iterations", "x"]),
+    (_two_points_doc(), ["compute", "--no-such-flag"]),
+    (None, []),
 ], ids=["top-level-array", "coeff-overflow", "exponent-huge",
         "exponent-tiny", "terms-not-a-list",
         "term-not-an-object", "degree-not-an-integer", "exponent-float",
@@ -205,7 +214,9 @@ LONG_INTEGER = json.dumps(_two_points_doc()).replace(
         "fixed-max-iterations", "fixed-r-subnormal", "point-zero",
         "point-nan", "point-inf", "fixed-face-too-large",
         "grid-face-too-large", "nested-compute", "nested-condition",
-        "integer-too-long"])
+        "integer-too-long", "max-dim-zero", "exponent-negative",
+        "term-above-degree", "input-missing", "max-iterations-not-an-integer",
+        "flag-unknown", "command-missing"])
 @pytest.mark.filterwarnings("error")
 def test_cli_malformed_input_is_an_error_not_a_traceback(doc, argv, tmp_path,
                                                           capsys):
@@ -221,8 +232,15 @@ def test_cli_malformed_input_is_an_error_not_a_traceback(doc, argv, tmp_path,
     # one short line, e.g. no coefficient printed as a 400-digit fraction
     assert len(err) < 200 and err.count("\n") == 1
     assert "set_int_max_str_digits" not in err
-    if argv[0] == "condition" and "invalid document" not in err:
+    if argv[:1] == ["condition"] and "invalid document" not in err:
         assert argv[-1] in err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["compute", "--help"])
+    assert exc.value.code == 0
+    assert "--max-iterations" in capsys.readouterr().out
 
 
 def test_parse_names_the_digit_limit_of_a_long_integer(tmp_path):
@@ -248,6 +266,15 @@ def test_emit_result_document_fields():
     d = 2
     assert 71.0 * d ** 2.5 * doc["k_star"] ** 2 * doc["r"] < 1.0
     assert doc["epsilon"] == pytest.approx(5.0 * d * doc["k_star"] * doc["r"])
+
+
+def test_boundary_ambiguous_is_written_only_when_set():
+    res = homology_algorithm(two_points_system(), RunOptions())
+    assert not res.boundary_ambiguous
+    assert "boundary_ambiguous" not in emit_result(res)
+    text = serialize_result(dataclasses.replace(res, boundary_ambiguous=True))
+    assert '"boundary_ambiguous": true' in text
+    assert json.loads(text)["boundary_ambiguous"] is True
 
 
 def test_serialized_output_deterministic():
@@ -457,6 +484,19 @@ def test_importing_the_cli_loads_neither_scipy_nor_shubsmale():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_importing_the_package_loads_no_module_and_hides_none():
+    # names are imported from their modules; the package re-exports none,
+    # so `sah.covering` is the module and not the function of that name
+    src = os.path.dirname(os.path.dirname(sah.pipeline.__file__))
+    code = ("import inspect, sys, sah; "
+            "print([m for m in sys.modules if m.startswith('sah.')]); "
+            "import sah.covering; print(inspect.ismodule(sah.covering))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines() == ["[]", "True"]
 
 
 def test_cli_stops_quietly_when_the_reader_closes_the_pipe():
