@@ -163,11 +163,18 @@ def tangent_basis(x: np.ndarray) -> np.ndarray:
     return (np.eye(len(x)) - 2.0 * np.outer(v, v))[:, 1:]
 
 
-def reference_sigma(polys, x, project: bool) -> float:
-    """sigma_q of the degree-scaled Jacobian, restricted to x-perp through
-    an explicit basis when `project`; 0.0 when rank-deficient."""
-    jac = np.array([per_term_gradient(p, x[None, :])[0] / math.sqrt(p.degree)
-                    for p in polys])
+def reference_jacobians(polys, pts) -> np.ndarray:
+    """The degree-scaled Jacobians at a block of points, shape (N, q, n+1)."""
+    return np.stack([per_term_gradient(p, pts) / math.sqrt(p.degree)
+                     for p in polys], axis=1)
+
+
+def reference_sigma(polys, x, project: bool, jac=None) -> float:
+    """sigma_q of the degree-scaled Jacobian `jac` at x (evaluated at x
+    alone when None), restricted to x-perp through an explicit basis when
+    `project`; 0.0 when rank-deficient."""
+    if jac is None:
+        jac = reference_jacobians(polys, x[None, :])[0]
     if project:
         jac = jac @ tangent_basis(x)
     s = np.linalg.svd(jac, compute_uv=False)
@@ -175,18 +182,34 @@ def reference_sigma(polys, x, project: bool) -> float:
     return 0.0 if s[0] == 0.0 or s[q - 1] < RANK_RTOL * s[0] else float(s[q - 1])
 
 
-def reference_kappa(polys, x) -> float:
+def reference_kappa_many(polys, pts) -> np.ndarray:
+    """The reference kappa at each point of a block.
+
+    Each polynomial and gradient is evaluated once over the whole block,
+    as a `Block` evaluates it.  A one-point evaluation takes another BLAS
+    path and may differ in the last bit; near a zero of f that difference,
+    divided by |f(x)| in kappa ~ ||F|| / |f(x)|, exceeds 1e-13.
+    """
     if not polys:
-        return 1.0
+        return np.ones(len(pts))
     norm = weyl_norm(polys)
     if norm == 0.0:
-        return math.inf
-    resid = float(np.linalg.norm([per_term_eval(p, x[None, :])[0]
-                                  for p in polys])) / norm
-    if len(polys) > len(x) - 1:
-        return math.inf if resid == 0.0 else 1.0 / resid
-    total = (reference_sigma(polys, x, True) / norm) ** 2 + resid ** 2
-    return math.inf if total == 0.0 else 1.0 / math.sqrt(total)
+        return np.full(len(pts), math.inf)
+    values = np.column_stack([per_term_eval(p, pts) for p in polys])
+    jacs = reference_jacobians(polys, pts)
+    out = np.empty(len(pts))
+    for i, x in enumerate(pts):
+        resid = float(np.linalg.norm(values[i])) / norm
+        if len(polys) > len(x) - 1:
+            out[i] = math.inf if resid == 0.0 else 1.0 / resid
+            continue
+        total = (reference_sigma(polys, x, True, jacs[i]) / norm) ** 2 + resid ** 2
+        out[i] = math.inf if total == 0.0 else 1.0 / math.sqrt(total)
+    return out
+
+
+def reference_kappa(polys, x) -> float:
+    return float(reference_kappa_many(polys, x[None, :])[0])
 
 
 def reference_mu(polys, x, project: bool) -> float:
@@ -276,8 +299,8 @@ def test_block_and_kernels_match_the_references(system):
         assert np.array_equal(approx_member_mask(sys_, r, pts),
                               per_term_mask(sys_, r, pts))
     kernels = subtuple_kernels(sys_)
-    want = np.array([[reference_kappa(tuple(comps[i] for i in kern.rows), x)
-                      for x in pts] for _, kern in kernels])
+    want = np.array([reference_kappa_many(tuple(comps[i] for i in kern.rows), pts)
+                     for _, kern in kernels])
     for (_, kern), ref in zip(kernels, want):
         np.testing.assert_allclose(kern.kappa_many(block), ref, rtol=1e-13)
     best, arg = kappa_max_many(kernels, block)
