@@ -158,8 +158,8 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_poly(entry: dict, n: int, where: str) -> tuple[list, int]:
-    """Exact (exponents, Fraction coefficient) pairs and the declared degree."""
+def _parse_poly(entry: dict, n: int, where: str) -> tuple[dict, int]:
+    """Nonzero exact coefficients by exponents, repeats summed; the degree."""
     if not isinstance(entry, dict):
         raise ParseError(f"{where}: polynomial entry must be an object")
     try:
@@ -173,7 +173,7 @@ def _parse_poly(entry: dict, n: int, where: str) -> tuple[list, int]:
         raise ParseError(f"{where}: field 'strict' must be a boolean")
     if not isinstance(raw_terms, list):
         raise ParseError(f"{where}: field 'terms' must be a list")
-    pairs = []
+    terms = {}
     for t in raw_terms:
         try:
             text = str(t["coeff"])
@@ -193,8 +193,12 @@ def _parse_poly(entry: dict, n: int, where: str) -> tuple[list, int]:
             raise ParseError(f"{where}: negative exponent")
         if sum(exps) > degree:
             raise ParseError(f"{where}: term degree exceeds declared degree")
-        pairs.append((exps, coeff))
-    return pairs, degree
+        terms[exps] = terms.get(exps, 0) + coeff
+    terms = {exps: c for exps, c in terms.items() if c}
+    if not terms:
+        # its Weyl norm is 0, so kappa is infinite at every point
+        raise ParseError(f"{where}: polynomial is identically zero")
+    return terms, degree
 
 
 def _common_scale(coeffs: list[Fraction]) -> Fraction:
@@ -206,20 +210,21 @@ def _common_scale(coeffs: list[Fraction]) -> Fraction:
     bounded by these.  With B the largest |c| and K the number of terms,
     each of those squares and sums is at most 2 D K B^2, and each Weyl
     norm squared is at least B^2 / multinomial(D, a) >= B^2 / (n+1)^D.
-    So the scale is 1 only when every nonzero coefficient is a normal
-    float and B^2 lies in [2^64 * 2^-1022, FLOAT_MAX / 2^64]: any system
-    with 2 D K and (n+1)^D below 2^64, which is every system that fits in
-    memory at a degree that runs, then neither overflows nor underflows.
+    So the scale is 1 only when every coefficient is a normal float and
+    B^2 lies in [2^64 * 2^-1022, FLOAT_MAX / 2^64]: any system with 2 D K
+    and (n+1)^D below 2^64, which is every system that fits in memory at
+    a degree that runs, then neither overflows nor underflows.
     (1e160 x^2 - 1e160 has finite coefficients whose squares overflow;
     1e-200 x^2 - 1e-200 has normal ones whose squares underflow to a zero
     norm.)  Otherwise the scale is 2^-e with 2^(e-1) < B < 2^(e+1), which
     puts B in (1/2, 2).  A positive factor on every polynomial keeps the
     zero set and the sign of every inequality, so the solution set does
-    not change.
+    not change.  No scaled coefficient overflows a float: at scale 1
+    every |c| <= B < 2^480, and otherwise every |c * scale| < 2.
     """
-    mags = [abs(c) for c in coeffs if c]
-    if not mags:
+    if not coeffs:
         return Fraction(1)
+    mags = [abs(c) for c in coeffs]
     top = max(mags)
     if (_NORMAL_MIN <= min(mags)
             and _NORMAL_MIN * _SQUARE_MARGIN <= top * top
@@ -229,21 +234,17 @@ def _common_scale(coeffs: list[Fraction]) -> Fraction:
                            - top.numerator.bit_length())
 
 
-def _float_poly(pairs: list, n: int, scale: Fraction, where: str) -> AffinePoly:
-    terms = {}
-    for exps, c in pairs:
-        try:
-            value = float(c * scale)
-        except OverflowError as exc:
-            raise ParseError(f"{where}: bad term ({exc})") from None
-        if c and not value:
+def _float_poly(terms: dict, n: int, scale: Fraction, where: str) -> AffinePoly:
+    floats = {}
+    for exps, c in terms.items():
+        floats[exps] = float(c * scale)
+        if not floats[exps]:
             # Decimal, unlike float, holds any exponent: print 1e-400 short
             short = format(Decimal(c.numerator) / c.denominator, ".6g")
             raise ParseError(f"{where}: coefficient {short} is too small "
                              "against the largest one of the system for a "
                              "float")
-        terms[exps] = terms.get(exps, 0.0) + value
-    return AffinePoly(n, terms)
+    return AffinePoly(n, floats)
 
 
 def _list_field(doc: dict, key: str, where: str) -> list:
@@ -271,11 +272,11 @@ def parse_system(path: str) -> AffineSystem:
     raw, degrees = [], []
     for key in ("equalities", "inequalities"):
         for i, entry in enumerate(_list_field(doc, key, "document")):
-            pairs, d = _parse_poly(entry, n, f"{key}[{i}]")
-            raw.append((f"{key}[{i}]", pairs))
+            terms, d = _parse_poly(entry, n, f"{key}[{i}]")
+            raw.append((f"{key}[{i}]", terms))
             degrees.append(d)
-    scale = _common_scale([c for _, pairs in raw for _, c in pairs])
-    polys = [_float_poly(pairs, n, scale, where) for where, pairs in raw]
+    scale = _common_scale([c for _, terms in raw for c in terms.values()])
+    polys = [_float_poly(terms, n, scale, where) for where, terms in raw]
     q = len(doc.get("equalities", []))
     if q > n:
         raise ParseError(
@@ -326,13 +327,13 @@ def condition_document(system: AffineSystem, point) -> dict:
     `condition_report` of the equalities of the scaled homogenization,
     `kappa_subtuple_max` and the first inequality `subtuple` attaining it."""
     x = np.array(point, dtype=float)
+    coords = ",".join(format(v, "g") for v in x)
     if len(x) != system.n + 1:
         raise ContractViolation(
-            f"point needs {system.n + 1} homogeneous coordinates")
+            f"point {coords} needs {system.n + 1} homogeneous coordinates")
     # scaling by the largest |x_i| first keeps the norm from overflowing
     scale = np.abs(x).max()
     if not 0.0 < scale < math.inf:
-        coords = ",".join(format(v, "g") for v in x)
         raise ContractViolation(f"point {coords} must have finite "
                                 "coordinates, not all zero")
     x = x / scale

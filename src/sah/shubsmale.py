@@ -207,7 +207,10 @@ def newton_flow(f: PolyMap, x0, t_end: float,
     """Integrate dx/dt = -pinv(Df(x)) f(x) with a classical 4th-order scheme.
 
     The fixed step is halved on the last interval as needed to land on
-    t_end exactly.  Rank loss mid-flow aborts with a partial trace.
+    t_end exactly.  The flow aborts with a partial trace only when a
+    Runge-Kutta stage lands exactly on a point where Df is rank-deficient
+    (by the `_newton` test); a path that passes near such a point is
+    integrated through it without an abort.
     """
     if t_end <= 0.0 or step <= 0.0:
         raise ContractViolation("t_end and step must be positive")

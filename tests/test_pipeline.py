@@ -5,10 +5,13 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sah.pipeline
 from conftest import (annulus_system, circle_system, disk_system, fixture_path,
@@ -190,6 +193,20 @@ LONG_INTEGER = json.dumps(_two_points_doc()).replace(
     (_two_points_doc(), ["condition", "--point", "0,0"]),
     (_two_points_doc(), ["condition", "--point", "nan,1"]),
     (_two_points_doc(), ["condition", "--point", "inf,1"]),
+    (json.loads(Path(fixture_path("annulus.json")).read_text()),
+     ["condition", "--point", "1,1"]),
+    ({**_two_points_doc(), "equalities": [5]}, ["compute"]),
+    ({**_two_points_doc(), "equalities": [{"degree": 2}]}, ["compute"]),
+    # identically zero: its Weyl norm is 0, so kappa is infinite everywhere
+    ({**_two_points_doc(), "inequalities": [{"degree": 1, "terms": []}]},
+     ["compute"]),
+    ({**_two_points_doc(), "inequalities": [
+        {"degree": 1, "terms": [{"coeff": "0", "exponents": [1]}]}]},
+     ["compute"]),
+    ({**_two_points_doc(), "inequalities": [
+        {"degree": 1, "terms": [{"coeff": "1", "exponents": [1]},
+                                {"coeff": "-1", "exponents": [1]}]}]},
+     ["compute"]),
     # faces of more points than an array index can address
     (json.loads(Path(fixture_path("annulus.json")).read_text()),
      ["compute", "--mode", "fixed", "--r", "1e-10", "--epsilon", "0.1"]),
@@ -212,7 +229,9 @@ LONG_INTEGER = json.dumps(_two_points_doc()).replace(
         "strict-string", "epsilon-nan", "epsilon-inf",
         "max-iterations-zero", "max-iterations-negative",
         "fixed-max-iterations", "fixed-r-subnormal", "point-zero",
-        "point-nan", "point-inf", "fixed-face-too-large",
+        "point-nan", "point-inf", "point-length", "equality-not-an-object",
+        "terms-missing", "zero-polynomial-empty", "zero-polynomial-0x",
+        "zero-polynomial-cancelling", "fixed-face-too-large",
         "grid-face-too-large", "nested-compute", "nested-condition",
         "integer-too-long", "max-dim-zero", "exponent-negative",
         "term-above-degree", "input-missing", "max-iterations-not-an-integer",
@@ -398,6 +417,64 @@ def test_cli_coefficients_whose_squares_leave_the_float_range_are_rescaled(
                      "--point", "1,1"]) == 0
     doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert doc["kappa"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("terms", [
+    # the floats of the two parts of x^2 sum to 0
+    [{"coeff": "100000000000000000000", "exponents": [2]},
+     {"coeff": "-99999999999999999999", "exponents": [2]},
+     {"coeff": "-1", "exponents": [0]}],
+    # a pair that cancels sets no scale
+    [{"coeff": "1e200", "exponents": [2]},
+     {"coeff": "-1e200", "exponents": [2]},
+     {"coeff": "1", "exponents": [2]}, {"coeff": "-1", "exponents": [0]}],
+], ids=["split-term", "cancelling-pair"])
+def test_cli_repeated_exponents_sum_exactly_before_rounding(tmp_path, terms):
+    p = tmp_path / "repeated.json"
+    p.write_text(json.dumps(_two_points_doc(terms=terms)))
+    out, ref = tmp_path / "res.json", tmp_path / "ref.json"
+    assert cli_main(["compute", "--input", str(p), "--output", str(out)]) == 0
+    assert cli_main(["compute", "--input", fixture_path("two_points.json"),
+                     "--output", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
+FIXTURE_NAMES = ["two_points.json", "circle.json", "disk_closed.json",
+                 "disk_strict.json", "annulus.json"]
+BIG = st.fractions(min_value=-10 ** 30, max_value=10 ** 30)
+
+
+@st.composite
+def split_fixtures(draw):
+    """A fixture document with every coefficient c written as the two
+    terms a and c - a, and a pair +-b on an exponent vector of the
+    polynomial's degree or less, all in a drawn order."""
+    name = draw(st.sampled_from(FIXTURE_NAMES))
+    doc = json.loads(Path(fixture_path(name)).read_text())
+    for entry in doc["equalities"] + doc["inequalities"]:
+        terms = []
+        for t in entry["terms"]:
+            a = draw(BIG)
+            terms += [{"coeff": str(a), "exponents": t["exponents"]},
+                      {"coeff": str(Fraction(t["coeff"]) - a),
+                       "exponents": t["exponents"]}]
+        degree, n = entry["degree"], doc["n"]
+        exps = draw(st.lists(st.integers(0, degree), min_size=n, max_size=n)
+                    .filter(lambda e: sum(e) <= degree))
+        b = draw(BIG)
+        terms += [{"coeff": str(b), "exponents": exps},
+                  {"coeff": str(-b), "exponents": exps}]
+        entry["terms"] = draw(st.permutations(terms))
+    return name, doc
+
+
+@settings(deadline=None)
+@given(split_fixtures())
+def test_parse_sums_repeated_exponents_exactly(tmp_path_factory, case):
+    name, doc = case
+    p = tmp_path_factory.mktemp("split") / name
+    p.write_text(json.dumps(doc))
+    assert parse_system(str(p)) == parse_system(fixture_path(name))
 
 
 def test_parse_normal_coefficients_are_not_rescaled(tmp_path):

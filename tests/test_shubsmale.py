@@ -145,6 +145,34 @@ def test_newton_flow_lands_on_t_end():
     assert trace.times[-1] == pytest.approx(0.0105)
 
 
+def test_newton_flow_from_a_singular_point_aborts_at_once():
+    # f = x^2 has Df(0) = 0: no first velocity, so no step is taken
+    trace = newton_flow(PolyMap(1, [{(2,): 1.0}]), np.array([0.0]), t_end=1.0)
+    assert trace.aborted and not trace.hypothesis_met
+    assert trace.times.tolist() == [0.0]
+    assert trace.betas.tolist() == [math.inf]
+    assert trace.alpha0 == math.inf
+
+
+def test_overdetermined_map_has_infinite_beta_and_gamma():
+    # two rows and one variable: Df(x) is never surjective
+    f = PolyMap(1, [{(2,): 1.0, (0,): -1.0}, {(1,): 1.0}])
+    x = np.array([2.0])
+    assert beta_number(f, x) == math.inf
+    assert gamma_number(f, x) == math.inf
+
+
+def test_gamma_in_four_variables_sweeps_seeded_random_directions():
+    # |x|^2 - 1 at e_0: pinv(Df) = e_0 / 2 and the degree-2 part of
+    # f(x + t u) is t^2 |u|^2 = t^2 in every unit direction, so gamma = 1/2
+    f = PolyMap(4, [{(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): 1.0,
+                     (0, 0, 0, 2): 1.0, (0, 0, 0, 0): -1.0}])
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+    g = gamma_number(f, x)
+    assert g == pytest.approx(0.5, rel=1e-12)
+    assert gamma_number(f, x) == g
+
+
 def test_from_homogeneous():
     from sah.polysys import HomoPoly
 
