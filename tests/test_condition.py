@@ -391,3 +391,18 @@ def test_take_slices_the_evaluated_rows(rng):
         for name in ("pts", "values", "gradients", "tangent_gradients"):
             assert np.array_equal(getattr(sub, name),
                                   getattr(block, name)[idx]), name
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: mu_norm([], np.array([1.0, 0.0])), "empty system"),
+    # three equalities on S^1: q > n + 1
+    (lambda: subtuple_kernels(HomoSystem((linear_x1(),) * 3, ())),
+     "too many equalities"),
+])
+def test_contract_checks(call, match):
+    with pytest.raises(ContractViolation, match=match):
+        call()
+
+
+def test_mu_of_the_zero_polynomial_is_infinite():
+    assert mu_norm([HomoPoly(2, 1, {})], np.array([1.0, 0.0])) == math.inf

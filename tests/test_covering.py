@@ -219,6 +219,13 @@ def test_covering_fixed_validation():
         covering_fixed(hsys, 0.125, 0.0)
 
 
+def test_covering_fixed_requires_q_at_most_n():
+    # two equalities on S^1
+    lin = linear_system().F[0]
+    with pytest.raises(ContractViolation, match="q <= n"):
+        covering_fixed(HomoSystem((lin, lin), ()), 0.125, 0.3)
+
+
 def full_loop(sys_: HomoSystem,
               max_iterations: int = DEFAULT_MAX_ITERATIONS) -> CoveringResult:
     """The certified loop that scans every pass: the oracle of `covering`."""

@@ -369,3 +369,12 @@ def test_snf_of_big_integers_is_exact():
     # gcd of the entries 1, determinant a b - 6 a b
     assert smith_normal_form(BoundaryMatrix(
         2, 2, [{0: a, 1: 3 * a}, {0: 2 * b, 1: b}])) == [1, 5 * a * b]
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: BoundaryMatrix(2, 1, [{}]), "row count"),
+    (lambda: boundary_matrix(hollow_triangle(), -1), "nonnegative"),
+])
+def test_contract_checks(call, match):
+    with pytest.raises(ContractViolation, match=match):
+        call()

@@ -1,12 +1,21 @@
 import itertools
 import math
+import os
+import resource
+import subprocess
+import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sah.nerve
 from sah.errors import ContractViolation
-from sah.nerve import (Ball, SimplicialComplex, cech_nerve, enclosing_balls,
-                       min_enclosing_ball)
+from sah.nerve import (MAX_POINTS, Ball, SimplicialComplex, cech_nerve,
+                       enclosing_balls, min_enclosing_ball)
 
 
 def brute_force_meb(pts: np.ndarray) -> float:
@@ -202,6 +211,100 @@ def test_nerve_validation():
                              (math.inf, None), (1.0, -1)):
         with pytest.raises(ContractViolation):
             cech_nerve(np.zeros((2, 2)), epsilon, max_dim=max_dim)
+    with pytest.raises(ContractViolation, match="2d"):
+        cech_nerve(np.zeros(3), 1.0)
+
+
+@st.composite
+def small_clouds(draw):
+    """2-8 points in R^2 or R^3, a ball radius and a max_dim <= dim.
+
+    Counts are drawn as offsets from the largest, so that the simplest
+    draws, which come most often, still build high simplices.  Up to 8
+    isolated points come first: they shift the labels of the cloud, since
+    a set of small ints below its hash table size iterates sorted anyway.
+    """
+    dim = draw(st.sampled_from((2, 3)))
+    npts = 8 - draw(st.integers(0, 6))
+    coords = st.floats(-1.0, 1.0, allow_subnormal=False)
+    cloud = draw(st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                          min_size=npts, max_size=npts))
+    far = np.zeros((draw(st.integers(0, 8)), dim))
+    far[:, 0] = 10.0 * np.arange(2, 2 + len(far))
+    pts = np.concatenate([far, np.array(cloud)])
+    return pts, draw(st.floats(0.05, 1.5)), dim - draw(st.integers(0, dim))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_clouds())
+def test_nerve_is_every_subset_that_passes_the_ball_test(cloud):
+    # brute force over all (k+1)-subsets in lexicographic order: checks
+    # that the clique expansion misses none and keeps the order
+    pts, eps, max_dim = cloud
+    k = cech_nerve(pts, eps, max_dim=max_dim)
+    if k.boundary_ambiguous:
+        return
+    expected = {0: [(i,) for i in range(len(pts))]}
+    for dim in range(1, max_dim + 1):
+        subsets = list(itertools.combinations(range(len(pts)), dim + 1))
+        if not subsets:
+            break
+        if dim == 1:
+            keep = [np.linalg.norm(pts[i] - pts[j]) <= 2 * eps
+                    for i, j in subsets]
+        else:
+            keep = enclosing_balls(pts[np.array(subsets)])[0] <= eps
+        simps = [s for s, ok in zip(subsets, keep) if ok]
+        if simps:
+            expected[dim] = simps
+    assert k.simplices == expected
+
+
+def test_nerve_memory_is_not_quadratic():
+    # the dense N x N construction peaked near 1 GB on these points
+    rng = np.random.default_rng(5000)
+    pts = rng.standard_normal((5000, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        k = cech_nerve(pts, 0.05, max_dim=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k.simplex_count(1) > 10_000
+    assert peak < 50e6
+
+
+def test_nerve_refuses_more_than_max_points():
+    with pytest.raises(ContractViolation,
+                       match=f"{MAX_POINTS + 1} points: .* at most {MAX_POINTS}"):
+        cech_nerve(np.zeros((MAX_POINTS + 1, 2)), 0.1)
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_cli_refuses_a_cover_beyond_max_points(tmp_path):
+    # 4x^3 + x^2 + 1 >= 0 and 2x + 3 >= 0 certify with 178,608 members
+    doc = tmp_path / "cubic.json"
+    doc.write_text('''{"schema": "sah-system/1", "n": 1, "inequalities": [
+        {"degree": 3, "terms": [{"coeff": "4", "exponents": [3]},
+            {"coeff": "1", "exponents": [2]}, {"coeff": "1", "exponents": [0]}]},
+        {"degree": 1, "terms": [{"coeff": "2", "exponents": [1]},
+            {"coeff": "3", "exponents": [0]}]}]}''')
+    src = os.path.dirname(os.path.dirname(sah.nerve.__file__))
+    t0 = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "sah.cli", "compute", "--input", str(doc)],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=_cap_address_space, env={**os.environ, "PYTHONPATH": src})
+    elapsed = time.perf_counter() - t0
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == [
+        f"error: 178608 points: the clique nerve takes at most {MAX_POINTS}"]
+    assert elapsed < 5.0
 
 
 def test_simplicial_complex_closure_check():

@@ -326,6 +326,18 @@ def test_cli_compute_exit_codes(tmp_path, capsys):
     assert cli_main(["compute", "--input", str(missing)]) == 1
 
 
+def test_a_document_without_polynomials_is_the_whole_space(tmp_path):
+    doc = tmp_path / "empty.json"
+    doc.write_text(json.dumps({"schema": "sah-system/1", "n": 2}))
+    assert parse_system(str(doc)) == AffineSystem(2, (), (), ())
+    out = tmp_path / "res.json"
+    assert cli_main(["compute", "--input", str(doc),
+                     "--output", str(out)]) == 0
+    res = json.loads(out.read_text())
+    assert res["certified"]
+    assert res["betti"] == [1, 0, 0]
+
+
 def test_cli_grid_count(capsys):
     assert cli_main(["grid", "--n", "1", "--r", "0.5", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "16"

@@ -181,3 +181,25 @@ def test_scaled_homogenization_rejects_zero_system():
     sys_ = AffineSystem(1, (z,), (), (1,))
     with pytest.raises(ContractViolation):
         scaled_homogenization(sys_)
+
+
+_LINEAR = HomoPoly(2, 1, {(1, 0): 1.0})
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: HomoPoly(2, 1, {(1,): 1.0}), "has length 1, expected 2"),
+    (lambda: AffinePoly(2, {(1, -1): 1.0}), "negative exponent"),
+    (lambda: HomoPoly(1, -1, {}), "degree must be >= 0"),
+    (lambda: HomoSystem((_LINEAR,), (HomoPoly(3, 1, {(1, 0, 0): 1.0}),)),
+     "number of variables"),
+    (lambda: HomoSystem((), ()).num_vars, "no ambient dimension"),
+    (lambda: AffineSystem(2, (), (AffinePoly(1, {(1,): 1.0}),), (1,)),
+     "arity does not match n"),
+    (lambda: compose_rotation(_LINEAR, np.eye(3)), "arity"),
+    (lambda: compose_rotation(_LINEAR, 2.0 * np.eye(2)), "not orthogonal"),
+], ids=["exponent-length", "negative-exponent", "negative-degree",
+        "arity-mismatch", "empty-num-vars", "affine-arity", "rotation-shape",
+        "rotation-not-orthogonal"])
+def test_contract_checks(call, match):
+    with pytest.raises(ContractViolation, match=match):
+        call()

@@ -180,3 +180,14 @@ def test_from_homogeneous():
     f = PolyMap.from_homogeneous([h])
     x = np.array([0.6, 0.8])
     assert f.eval(x) == pytest.approx([h(x)])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: PolyMap.from_homogeneous([]), "at least one component"),
+    (lambda: parabola_map().eval(np.array([1.0])), "point arity"),
+    (lambda: newton_flow(parabola_map(), np.array([1.0, 1.0]), 0.0),
+     "must be positive"),
+], ids=["empty-map", "point-arity", "t-end"])
+def test_contract_checks(call, match):
+    with pytest.raises(ContractViolation, match=match):
+        call()
