@@ -112,14 +112,15 @@ def residual_and_sigma_min(block: Block, rows, norm: float,
     give the singular values of the restriction of DF(x) to x-perp.
     sigma_q is the row norm when q = 1 and comes from a batched SVD
     otherwise; it is 0.0 where the matrix is rank-deficient
-    (sigma_q < RANK_RTOL * sigma_1), and sigma is None when q exceeds the
-    dimension the Jacobian acts on (n+1, or n when projected).  `rows` must
-    be nonempty and `norm` the nonzero Weyl norm of F.
+    (sigma_q < RANK_RTOL * sigma_1), and everywhere when q exceeds the
+    dimension the Jacobian acts on (n+1, or n when projected), where
+    DF(x) cannot be onto.  `rows` must be nonempty and `norm` the nonzero
+    Weyl norm of F.
     """
     resid = _residual(block, rows, norm)
     q = len(rows)
     if q > block.pts.shape[1] - project:
-        return resid, None
+        return resid, np.zeros(len(block))
     jac = (block.tangent_gradients if project else block.gradients)[:, rows]
     if q == 1:
         smax = smin = np.linalg.norm(jac[:, 0], axis=1)
@@ -136,9 +137,13 @@ def kappa_batch(block: Block, rows, norm: float) -> np.ndarray:
 
     Harmonic combination of the inverse projective mu and the normalized
     residual: 1 / sqrt((sigma_q / ||F||)^2 + resid^2), with sigma_q taken
-    as 0 where the projected Jacobian is rank-deficient.  Reduces to the
-    norm-to-residual ratio in the overdetermined case q > n.  The empty
-    system has kappa 1 by convention, the zero system kappa infinity.
+    as 0 where the projected Jacobian is rank-deficient.  In the
+    overdetermined case q > n sigma_q is 0 at every point, and the formula
+    is 1 / sqrt(resid^2).  In binary64 sqrt(x^2) = |x| whenever x^2 neither
+    underflows nor overflows, so it is 1 / resid bit for bit for resid >=
+    2^-511 (resid <= 1, since |f(x)| <= ||f|| on the sphere); below that
+    both values exceed 6.7e153.  The empty system has kappa 1 by
+    convention, the zero system kappa infinity.
     """
     if not len(rows):
         return np.ones(len(block))
@@ -147,15 +152,13 @@ def kappa_batch(block: Block, rows, norm: float) -> np.ndarray:
     return _kappa(*residual_and_sigma_min(block, rows, norm), norm)
 
 
-def _kappa(resid: np.ndarray, smin: np.ndarray | None, norm: float) -> np.ndarray:
+def _kappa(resid: np.ndarray, smin: np.ndarray, norm: float) -> np.ndarray:
     """The formula of `kappa_batch` from the residual ratios and sigma_q.
 
     Every operation is correctly rounded and monotone, so the result is
     antitone in `smin`: bounds on sigma_q give bounds on the computed kappa.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        if smin is None:
-            return np.where(resid == 0.0, math.inf, 1.0 / resid)
         total = (smin / norm) ** 2 + resid * resid
         return np.where(total == 0.0, math.inf, 1.0 / np.sqrt(total))
 
@@ -202,7 +205,7 @@ def _mu(block: Block, rows, norm: float, project: bool) -> float:
     if norm == 0.0:
         return math.inf
     _, smin = residual_and_sigma_min(block, rows, norm, project)
-    if smin is None or smin[0] == 0.0:
+    if smin[0] == 0.0:
         return math.inf
     return norm / float(smin[0])
 

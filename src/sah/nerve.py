@@ -58,18 +58,6 @@ class SimplicialComplex:
     def dimension(self) -> int:
         return max((k for k, v in self.simplices.items() if v), default=-1)
 
-    def is_closed(self) -> bool:
-        """Every face of every simplex is present."""
-        for k, simps in self.simplices.items():
-            if k == 0:
-                continue
-            lower = set(self.simplices.get(k - 1, []))
-            for s in simps:
-                for i in range(len(s)):
-                    if s[:i] + s[i + 1:] not in lower:
-                        return False
-        return True
-
 
 def enclosing_balls(points) -> tuple[np.ndarray, np.ndarray]:
     """Minimum enclosing balls of N point sets, shape (N, k, dim), at once.

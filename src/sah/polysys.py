@@ -33,9 +33,12 @@ def multinomial(d: int, exps: Exponents) -> int:
 
 
 def _clean_terms(terms: Terms, num_vars: int, degree: int | None) -> Terms:
-    """Integer exponents, zeros dropped; each sums to `degree` unless None."""
+    """Integer exponents, zeros dropped; each sums to `degree` unless None.
+    Exponents equal as numbers are one dict key, so no two terms merge."""
     out: Terms = {}
     for exps, c in terms.items():
+        if any(int(e) != e for e in exps):
+            raise ContractViolation(f"non-integral exponent in {exps}")
         exps = tuple(int(e) for e in exps)
         if len(exps) != num_vars:
             raise ContractViolation(
@@ -47,8 +50,8 @@ def _clean_terms(terms: Terms, num_vars: int, degree: int | None) -> Terms:
                 f"exponents {exps} sum to {sum(exps)}, expected degree {degree}")
         c = float(c)
         if c != 0.0:
-            out[exps] = out.get(exps, 0.0) + c
-    return {e: c for e, c in out.items() if c != 0.0}
+            out[exps] = c
+    return out
 
 
 def power_table(pts: np.ndarray, degree: int) -> np.ndarray:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from sah.errors import ContractViolation
+from sah.homology import boundary_matrix
 from sah.polysys import AffinePoly, AffineSystem, HomoPoly, HomoSystem
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -33,6 +35,17 @@ def annulus_system() -> AffineSystem:
     g1 = AffinePoly(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
     g2 = AffinePoly(2, {(0, 0): 4.0, (2, 0): -1.0, (0, 2): -1.0})
     return AffineSystem(2, (), (g1, g2), (2, 2))
+
+
+def face_closed(complex_) -> bool:
+    """Every face of every simplex is present: `boundary_matrix` builds in
+    every degree, and it refuses a complex with a missing face."""
+    try:
+        for k in complex_.simplices:
+            boundary_matrix(complex_, k)
+    except ContractViolation:
+        return False
+    return True
 
 
 def random_homo_poly(rng: np.random.Generator, num_vars: int,

@@ -9,7 +9,8 @@ from conftest import (per_term_eval, per_term_gradient, random_homo_poly,
 from sah.condition import (RANK_RTOL, Block, ConditionReport, SubtupleKernel,
                            block_kappa_max, condition_report, kappa,
                            kappa_max_many, kappa_subtuple_max, mu_norm,
-                           mu_proj, reach_lower_bound, subtuple_kernels)
+                           mu_proj, reach_lower_bound, residual_and_sigma_min,
+                           subtuple_kernels)
 from sah.covering import approx_member_mask
 from sah.errors import ContractViolation
 from sah.polysys import (HomoPoly, HomoSystem, compose_rotation_system,
@@ -58,6 +59,31 @@ def test_kappa_overdetermined_branch():
     norm = weyl_norm(polys)
     resid = math.sqrt(1.0 + 0.0 + 1.0)
     assert kappa(polys, x) == pytest.approx(norm / resid)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sphere_systems())
+def test_overdetermined_kappa_is_the_inverse_residual(system):
+    # sigma_q is 0 when q > n, and 1 / sqrt(resid^2) is 1 / resid bit for
+    # bit: the branch's linear forms on S^n, with the drawn components
+    sys_, pts = system
+    nv = pts.shape[1]
+    axes = [tuple(int(v == w) for w in range(nv)) for v in range(nv)]
+    linear = [HomoPoly(nv, 1, {a: 1.0}) for a in axes]
+    linear.append(HomoPoly(nv, 1, {axes[0]: 1.0, axes[1]: 1.0}))
+    polys = tuple(linear) + sys_.components
+    rows, norm = tuple(range(len(polys))), weyl_norm(polys)
+
+    def inverse_residual(at):
+        resid, smin = residual_and_sigma_min(Block(polys, at), rows, norm)
+        assert not smin.any()
+        return 1.0 / resid
+
+    kern = SubtupleKernel(rows, norm)
+    assert np.array_equal(kern.kappa_many(Block(polys, pts)),
+                          inverse_residual(pts))
+    for x in pts[:8]:
+        assert kappa(polys, x) == inverse_residual(x[None, :])[0]
 
 
 def test_kappa_at_least_one(rng):

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sah.nerve
+from conftest import face_closed
 from sah.errors import ContractViolation
+from sah.homology import boundary_matrix
 from sah.nerve import (MAX_POINTS, Ball, SimplicialComplex, cech_nerve,
                        enclosing_balls, min_enclosing_ball)
 
@@ -162,7 +164,7 @@ def test_nerve_face_closure(rng):
     for _ in range(10):
         pts = rng.standard_normal((int(rng.integers(3, 12)), 2))
         k = cech_nerve(pts, float(rng.uniform(0.3, 1.5)))
-        assert k.is_closed()
+        assert face_closed(k)
 
 
 def test_nerve_monotone_in_epsilon(rng):
@@ -310,4 +312,5 @@ def test_cli_refuses_a_cover_beyond_max_points(tmp_path):
 def test_simplicial_complex_closure_check():
     bad = SimplicialComplex({0: [(0,), (1,), (2,)], 1: [(0, 1)],
                              2: [(0, 1, 2)]})
-    assert not bad.is_closed()
+    with pytest.raises(ContractViolation, match="not closed under faces"):
+        boundary_matrix(bad, 2)

@@ -189,6 +189,8 @@ _LINEAR = HomoPoly(2, 1, {(1, 0): 1.0})
 @pytest.mark.parametrize("call, match", [
     (lambda: HomoPoly(2, 1, {(1,): 1.0}), "has length 1, expected 2"),
     (lambda: AffinePoly(2, {(1, -1): 1.0}), "negative exponent"),
+    (lambda: AffinePoly(1, {(1.5,): 1.0}), "non-integral exponent"),
+    (lambda: HomoPoly(2, 2, {(1.9, 0.9): 1.0}), "non-integral exponent"),
     (lambda: HomoPoly(1, -1, {}), "degree must be >= 0"),
     (lambda: HomoSystem((_LINEAR,), (HomoPoly(3, 1, {(1, 0, 0): 1.0}),)),
      "number of variables"),
@@ -197,7 +199,8 @@ _LINEAR = HomoPoly(2, 1, {(1, 0): 1.0})
      "arity does not match n"),
     (lambda: compose_rotation(_LINEAR, np.eye(3)), "arity"),
     (lambda: compose_rotation(_LINEAR, 2.0 * np.eye(2)), "not orthogonal"),
-], ids=["exponent-length", "negative-exponent", "negative-degree",
+], ids=["exponent-length", "negative-exponent", "non-integral-affine",
+        "non-integral-homo", "negative-degree",
         "arity-mismatch", "empty-num-vars", "affine-arity", "rotation-shape",
         "rotation-not-orthogonal"])
 def test_contract_checks(call, match):
