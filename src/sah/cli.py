@@ -32,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       default="certified")
     comp.add_argument("--r", type=float, default=None)
     comp.add_argument("--epsilon", type=float, default=None)
-    comp.add_argument("--max-dim", type=int, default=None)
     comp.add_argument("--max-iterations", type=int, default=None,
                       help="certified mode: passes at r = 1/2, 1/4, ...; "
                       f"at least 1 (default {DEFAULT_MAX_ITERATIONS})")
@@ -55,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_compute(args) -> int:
     system = parse_system(args.input)
     opts = RunOptions(mode=args.mode, r_override=args.r,
-                      epsilon_override=args.epsilon, max_dim=args.max_dim,
+                      epsilon_override=args.epsilon,
                       max_iterations=args.max_iterations)
     result = homology_algorithm(system, opts)
     text = serialize_result(result, include_timing=args.timing)
@@ -103,6 +102,11 @@ def main(argv=None) -> int:
         return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's names the array it could not allocate; Python's is bare
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=_sys.stderr)
         return 1
 
 

@@ -39,7 +39,6 @@ class RunOptions:
     mode: str = "certified"
     r_override: float | None = None
     epsilon_override: float | None = None
-    max_dim: int | None = None
     max_iterations: int | None = None
 
     def __post_init__(self):
@@ -70,55 +69,43 @@ class RunResult:
         return self.covering.certified
 
 
-def _trivial_result(sys: AffineSystem, max_dim: int, t0: float) -> RunResult:
-    """Unconstrained input: the set is all of R^n, one contractible piece."""
-    betti = (1,) + (0,) * (max_dim - 1)
-    cov = CoveringResult(points=np.zeros((0, sys.n + 1)), epsilon=0.0,
-                         r_final=1.0, k_star=1.0, iterations=0,
-                         certified=True, grid_size=0)
-    return RunResult(
-        homology=HomologyGroups(betti, ((),) * max_dim),
-        covering=cov, max_dim=max_dim, boundary_ambiguous=False,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0)
-
-
 def homology_algorithm(sys: AffineSystem, opts: RunOptions) -> RunResult:
     """Run the full pipeline on an affine basic semialgebraic system.
 
-    The nerve is built only up to dimension min(max_dim, n + 1), and the
-    degrees from n + 1 on are reported as 0.  The covering points lie in
+    Homology is reported in degrees 0..n.  The covering points lie in
     R^{n+1}, and the union of closed balls around them is compact there,
     so its H_k vanishes for k >= n + 1 (Alexander duality); by the nerve
-    theorem the nerve is homotopy equivalent to that union.
+    theorem the nerve is homotopy equivalent to that union, so it is built
+    only up to dimension n + 1, the points' ambient dimension.
     """
     t0 = time.perf_counter()
-    max_dim = opts.max_dim if opts.max_dim is not None else sys.n + 1
-    if max_dim < 1:
-        raise ContractViolation("max_dim must be >= 1")
-    if not sys.F and not sys.G:
-        return _trivial_result(sys, max_dim, t0)
-    hsys = scaled_homogenization(sys)
-    if opts.mode == "certified":
-        cov = covering(hsys, max_iterations=(
-            DEFAULT_MAX_ITERATIONS if opts.max_iterations is None
-            else opts.max_iterations))
-    else:
-        cov = covering_fixed(hsys, opts.r_override, opts.epsilon_override)
-    homology = None
     ambiguous = False
-    if cov.certified or opts.mode == "fixed":
-        top = min(max_dim, sys.n + 1)
-        nerve = cech_nerve(cov.points, cov.epsilon, max_dim=top)
-        ambiguous = nerve.boundary_ambiguous
-        groups = homology_of_complex(nerve, max_degree=top - 1)
-        betti = list(groups.betti) + [0] * (max_dim - len(groups.betti))
-        torsion = list(groups.torsion) + [()] * (max_dim - len(groups.torsion))
-        homology = HomologyGroups(tuple(betti[:max_dim]),
-                                  tuple(torsion[:max_dim]))
+    if not sys.F and not sys.G:
+        # the set is all of R^n, one contractible piece
+        cov = CoveringResult(points=np.zeros((0, sys.n + 1)), epsilon=0.0,
+                             r_final=1.0, k_star=1.0, iterations=0,
+                             certified=True, grid_size=0)
+        homology = HomologyGroups((1,) + (0,) * sys.n, ((),) * (sys.n + 1))
+    else:
+        hsys = scaled_homogenization(sys)
+        if opts.mode == "certified":
+            cov = covering(hsys, max_iterations=(
+                DEFAULT_MAX_ITERATIONS if opts.max_iterations is None
+                else opts.max_iterations))
+        else:
+            cov = covering_fixed(hsys, opts.r_override, opts.epsilon_override)
+        homology = None
+        if cov.certified or opts.mode == "fixed":
+            nerve = cech_nerve(cov.points, cov.epsilon)
+            ambiguous = nerve.boundary_ambiguous
+            groups = homology_of_complex(nerve, max_degree=sys.n)
+            pad = sys.n + 1 - len(groups.betti)
+            homology = HomologyGroups(groups.betti + (0,) * pad,
+                                      groups.torsion + ((),) * pad)
     return RunResult(
         homology=homology,
         covering=cov,
-        max_dim=max_dim,
+        max_dim=sys.n + 1,
         boundary_ambiguous=ambiguous,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0)
 

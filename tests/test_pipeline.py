@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sah.cli
 import sah.pipeline
 from conftest import (annulus_system, circle_system, disk_system, fixture_path,
                       two_points_system)
@@ -23,7 +24,7 @@ from sah.grid import grid_count, grid_points, shell_order
 from sah.nerve import cech_nerve
 from sah.pipeline import (RunOptions, emit_result, homology_algorithm,
                           parse_system, serialize_result)
-from sah.polysys import AffineSystem, scaled_homogenization
+from sah.polysys import AffinePoly, AffineSystem, scaled_homogenization
 
 
 def test_run_options_validation():
@@ -47,6 +48,17 @@ def test_trivial_unconstrained_system():
     assert res.homology.betti == (1, 0, 0)
 
 
+def test_an_empty_set_reports_zero_in_degrees_0_to_n():
+    # x^2 + 1 = 0 certifies with no member; the empty nerve has no degree,
+    # so all n + 1 degrees are padded with 0
+    sys_ = AffineSystem(1, (AffinePoly(1, {(2,): 1.0, (0,): 1.0}),), (), (2,))
+    res = homology_algorithm(sys_, RunOptions())
+    assert res.certified and len(res.covering.points) == 0
+    assert res.homology.betti == (0, 0)
+    assert res.homology.torsion == ((), ())
+    assert emit_result(res)["max_dim"] == 2
+
+
 def test_two_points_certified_run():
     res = homology_algorithm(two_points_system(), RunOptions())
     assert res.certified
@@ -62,8 +74,8 @@ def test_runs_compute_no_condition_report(monkeypatch):
         raise AssertionError("a run computed a condition report")
     monkeypatch.setattr(sah.pipeline, "condition_report", refuse)
     res = homology_algorithm(annulus_system(), RunOptions(
-        mode="fixed", r_override=0.25, epsilon_override=0.15, max_dim=1))
-    assert res.homology.betti == (1,)
+        mode="fixed", r_override=0.25, epsilon_override=0.15))
+    assert res.homology.betti == (1, 1, 0)
     res = homology_algorithm(two_points_system(), RunOptions())
     assert res.certified and res.homology.betti == (2, 0)
 
@@ -214,7 +226,6 @@ LONG_INTEGER = json.dumps(_two_points_doc()).replace(
     (NESTED, ["compute"]),
     (NESTED, ["condition", "--point", "1,1"]),
     (LONG_INTEGER, ["compute"]),
-    (_two_points_doc(), ["compute", "--max-dim", "0"]),
     (_two_points_doc(terms=[{"coeff": "1", "exponents": [-1]}]), ["compute"]),
     (_two_points_doc(terms=[{"coeff": "1", "exponents": [3]}]), ["compute"]),
     # usage errors: argparse alone would print its usage and exit 2
@@ -233,7 +244,7 @@ LONG_INTEGER = json.dumps(_two_points_doc()).replace(
         "terms-missing", "zero-polynomial-empty", "zero-polynomial-0x",
         "zero-polynomial-cancelling", "fixed-face-too-large",
         "grid-face-too-large", "nested-compute", "nested-condition",
-        "integer-too-long", "max-dim-zero", "exponent-negative",
+        "integer-too-long", "exponent-negative",
         "term-above-degree", "input-missing", "max-iterations-not-an-integer",
         "flag-unknown", "command-missing"])
 @pytest.mark.filterwarnings("error")
@@ -253,6 +264,21 @@ def test_cli_malformed_input_is_an_error_not_a_traceback(doc, argv, tmp_path,
     assert "set_int_max_str_digits" not in err
     if argv[:1] == ["condition"] and "invalid document" not in err:
         assert argv[-1] in err
+
+
+@pytest.mark.parametrize("message,err", [
+    ("Unable to allocate 238. GiB for an array",
+     "error: out of memory: Unable to allocate 238. GiB for an array\n"),
+    ("", "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_cli_out_of_memory_is_an_error_not_a_traceback(monkeypatch, capsys,
+                                                       message, err):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr(sah.cli, "homology_algorithm", exhausted)
+    assert cli_main(["compute", "--input",
+                     fixture_path("two_points.json")]) == 1
+    assert capsys.readouterr().err == err
 
 
 def test_cli_help_exits_0(capsys):
@@ -530,10 +556,10 @@ def test_cli_condition_reports_the_subtuple_maximum(capsys):
                                                  sort_keys=True) + "\n"
 
 
-def test_degrees_above_n_are_zero_without_building_their_simplices(
+def test_a_run_reports_degrees_0_to_n_from_a_nerve_of_dimension_n_plus_1(
         monkeypatch):
-    """--max-dim 4 on the annulus (n = 2) writes the document the full
-    nerve gave, while the nerve stops at dimension n + 1 = 3."""
+    """The annulus (n = 2) reports degrees 0..2 and max_dim 3, and its
+    nerve stops at dimension n + 1 = 3."""
     nerves = []
 
     def recording(*args, **kwargs):
@@ -543,21 +569,20 @@ def test_degrees_above_n_are_zero_without_building_their_simplices(
     monkeypatch.setattr(sah.pipeline, "cech_nerve", recording)
     res = homology_algorithm(
         parse_system(fixture_path("annulus.json")),
-        RunOptions(mode="fixed", r_override=0.25, epsilon_override=0.15,
-                   max_dim=4))
+        RunOptions(mode="fixed", r_override=0.25, epsilon_override=0.15))
     assert [nerve.dimension for nerve in nerves] == [3]
     expected = {
         "audit_hypothesis": 876.6333333333336,
-        "betti": [1, 1, 0, 0],
+        "betti": [1, 1, 0],
         "certified": False,
         "epsilon": 0.15,
         "grid_size": "866",
         "iterations": 0,
         "k_star": 8.211780156174015,
-        "max_dim": 4,
+        "max_dim": 3,
         "num_points": 532,
         "r": 0.25,
-        "torsion": [[], [], [], []],
+        "torsion": [[], [], []],
         "wall_time_ms": None,
     }
     assert serialize_result(res) == json.dumps(expected, indent=2,
