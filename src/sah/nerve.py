@@ -24,9 +24,11 @@ SLACK_BAND = 1e-9
 # enclosing_balls.
 SINGULAR_GRAM = 1e-14
 
-# Candidate simplices are tested this many at a time.  Each candidate holds
-# about 1.7 KB of temporaries (tetrahedra in R^3); on the annulus fixture,
-# blocks of 4096 raised the nerve stage's peak RSS from 47 to 53 MB.
+# Candidates are decided this many at a time.  A block holds their vertex,
+# facet and ball arrays, about 0.5 KB per tetrahedron in R^3, and sends the
+# ones its facets leave open to enclosing_balls, whose temporaries take about
+# 1.7 KB each; on the annulus fixture, blocks of 4096 sent to enclosing_balls
+# raised the nerve stage's peak RSS from 47 to 53 MB.
 MEB_BLOCK = 1024
 
 # The most points cech_nerve takes; see its docstring.
@@ -123,25 +125,38 @@ def cech_nerve(points: np.ndarray, epsilon: float,
     points and edges, never as N^2.  Every dimension k = 1..max_dim follows
     one rule: a (k-1)-simplex s, taken in lexicographic order, extends by
     each w of sorted(intersection of later[v] for v in s).  An edge needs
-    no further test, since adjacency is the edge test; a higher candidate
-    is kept when its minimum enclosing ball has radius at most epsilon,
-    tested MEB_BLOCK at a time.  A value within the relative slack band of
-    its threshold (2 eps for an edge, eps above) sets boundary_ambiguous.
+    no further test, since adjacency is the edge test; its ball is its
+    midpoint and half its length.  A higher candidate sigma = s + (w,) is
+    decided by its facets tau = sigma - v, MEB_BLOCK candidates at a time:
+    - a facet missing from dimension k-1 rejects sigma: by induction some
+      face of sigma failed its test, and r(sigma) is at least its radius;
+    - a facet whose ball B(tau) holds the opposite vertex v accepts sigma:
+      B(tau) encloses sigma and r(sigma) >= r(tau), so it is the minimum
+      ball of sigma, of radius r(tau) <= eps;
+    - every other candidate goes to enclosing_balls and is kept when its
+      radius is at most epsilon.
+    A value within the relative slack band of its threshold (2 eps for an
+    edge, eps above) sets boundary_ambiguous.  Each kept simplex below
+    max_dim keeps its ball, its facets' indices one dimension down, and
+    the key (index of its prefix facet) * N + last vertex: keys rise in
+    lexicographic order, so np.searchsorted finds a facet, and stay below
+    N times the simplex count, far from 2^63.
 
     Order: every w common to the later[v] exceeds s[-1], so the candidates
-    come in lexicographic order and in the MEB_BLOCK blocks in which they
-    were always tested, and enclosing_balls returns the same radii, bit
-    for bit.  Completeness: every face of a Cech simplex is in the nerve,
-    so a k-simplex is its first k vertices, a (k-1)-simplex, extended by
-    its last vertex, a later neighbour of all of them.  Rounding: a
-    distance from a coordinate difference errs by a few units in its last
-    place.  The Gram identity |p|^2 + |q|^2 - 2 p.q used before errs by a
-    few ulps of |p|^2 + |q|^2, which for unit vectors d apart is up to
-    about 3e-16 / d^2 of d: 3e-15 at d = 0.3, and inside SLACK_BAND for d
-    above about 1e-3.  There an edge that the two formulas decide
-    differently lies in the band and sets boundary_ambiguous under
-    either, so a run that reports no ambiguity has the same edges under
-    both.
+    come in lexicographic order.  Completeness: every face of a Cech
+    simplex is in the nerve, so a k-simplex is its first k vertices, a
+    (k-1)-simplex, extended by its last vertex, a later neighbour of all
+    of them.  Rounding: radii and containment tests err by a few ulps, so
+    a facet decision differs from the all-subsets test only when a facet
+    radius lies within SLACK_BAND of eps, and that facet's own test then
+    set boundary_ambiguous.  A ball from the singular-Gram fallback of
+    enclosing_balls still encloses its simplex and is within the band of
+    minimal.  A distance from a coordinate difference errs by a few ulps;
+    the Gram identity |p|^2 + |q|^2 - 2 p.q used before errs by a few ulps
+    of |p|^2 + |q|^2, up to about 3e-16 / d^2 of d for unit vectors d
+    apart, inside SLACK_BAND for d above about 1e-3.  There an edge that
+    the two formulas decide differently sets boundary_ambiguous under
+    either, so a run that reports no ambiguity has the same edges.
 
     A cover of more than MAX_POINTS points is refused before any distance
     is computed: its clique expansion does not end in useful time, and
@@ -170,18 +185,47 @@ def cech_nerve(points: np.ndarray, epsilon: float,
         complex_.boundary_ambiguous |= _near(dist, 2.0 * epsilon)
         later.append(set((np.flatnonzero(dist <= 2.0 * epsilon) + i + 1).tolist()))
     prev = complex_.simplices[0]
+    # keys, facet indices and balls of the simplices in prev, from the edges on
+    keys = facets = centres = radii = None
     for k in range(1, max_dim + 1):
-        cands = (s + (w,) for s in prev
+        cands = ((j, w) for j, s in enumerate(prev)
                  for w in sorted(set.intersection(*(later[v] for v in s))))
         cur: list[tuple[int, ...]] = []
+        kept_parts = []
         while block := list(itertools.islice(cands, MEB_BLOCK)):
-            if k > 1:
-                radii, _ = enclosing_balls(pts[np.array(block)])
-                complex_.boundary_ambiguous |= _near(radii, epsilon)
-                block = [c for c, r in zip(block, radii) if r <= epsilon]
-            cur.extend(block)
+            sidx, w = np.array(block).T
+            simps = [prev[j] + (v,) for j, v in block]
+            if k == 1:
+                kept = np.ones(len(block), dtype=bool)
+                fac = np.column_stack([w, sidx])
+                ctr = 0.5 * (pts[sidx] + pts[w])
+                rad = 0.5 * np.linalg.norm(pts[w] - pts[sidx], axis=1)
+            else:
+                key = facets[sidx] * npts + w[:, None]
+                pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+                present = np.all(keys[pos] == key, axis=1)
+                fac = np.column_stack([pos, sidx])
+                verts = np.array(simps)
+                gap = pts[verts] - centres[fac]
+                holds = present[:, None] & (np.einsum(
+                    "bkd,bkd->bk", gap, gap) <= radii[fac] ** 2)
+                kept = holds.any(axis=1)
+                pick = fac[np.arange(len(block)), holds.argmax(axis=1)]
+                ctr, rad = centres[pick], radii[pick]
+                open_ = present & ~kept
+                if open_.any():
+                    rad[open_], ctr[open_] = enclosing_balls(pts[verts[open_]])
+                    complex_.boundary_ambiguous |= _near(rad[open_], epsilon)
+                    kept[open_] = rad[open_] <= epsilon
+            cur.extend(simps[i] for i in np.flatnonzero(kept))
+            if k < max_dim:
+                kept_parts.append((sidx[kept] * npts + w[kept], fac[kept],
+                                   ctr[kept], rad[kept]))
         if not cur:
             break
         complex_.simplices[k] = cur
         prev = cur
+        if kept_parts:
+            keys, facets, centres, radii = (
+                np.concatenate(part) for part in zip(*kept_parts))
     return complex_

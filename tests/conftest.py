@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from sah.errors import ContractViolation
 from sah.homology import boundary_matrix
+from sah.nerve import MEB_BLOCK, SimplicialComplex, _near, enclosing_balls
 from sah.polysys import AffinePoly, AffineSystem, HomoPoly, HomoSystem
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -46,6 +48,46 @@ def face_closed(complex_) -> bool:
     except ContractViolation:
         return False
     return True
+
+
+def oracle_cech_nerve(points, epsilon: float,
+                      max_dim: int | None = None) -> SimplicialComplex:
+    """Oracle nerve: every candidate of every dimension goes to
+    `enclosing_balls`, which tries all its support subsets.
+
+    The candidates are those of `sah.nerve.cech_nerve`: each kept
+    (k-1)-simplex extended by the later neighbours common to its vertices,
+    in lexicographic order and in blocks of MEB_BLOCK.  An edge needs no
+    test; a higher candidate is kept when its minimum enclosing ball has
+    radius at most epsilon, and a value within the slack band of its
+    threshold sets boundary_ambiguous.
+    """
+    pts = np.asarray(points, dtype=float)
+    npts = len(pts)
+    if max_dim is None:
+        max_dim = pts.shape[1]
+    complex_ = SimplicialComplex({0: [(i,) for i in range(npts)]})
+    later = []
+    for i in range(npts):
+        dist = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
+        complex_.boundary_ambiguous |= _near(dist, 2.0 * epsilon)
+        later.append(set((np.flatnonzero(dist <= 2.0 * epsilon) + i + 1).tolist()))
+    prev = complex_.simplices[0]
+    for k in range(1, max_dim + 1):
+        cands = (s + (w,) for s in prev
+                 for w in sorted(set.intersection(*(later[v] for v in s))))
+        cur: list[tuple[int, ...]] = []
+        while block := list(itertools.islice(cands, MEB_BLOCK)):
+            if k > 1:
+                radii, _ = enclosing_balls(pts[np.array(block)])
+                complex_.boundary_ambiguous |= _near(radii, epsilon)
+                block = [c for c, r in zip(block, radii) if r <= epsilon]
+            cur.extend(block)
+        if not cur:
+            break
+        complex_.simplices[k] = cur
+        prev = cur
+    return complex_
 
 
 def random_homo_poly(rng: np.random.Generator, num_vars: int,

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 
+import sah.nerve
 from sah.covering import covering_fixed
 from sah.nerve import cech_nerve
 from sah.pipeline import (RunOptions, homology_algorithm, parse_system,
@@ -98,6 +99,16 @@ def test_fixed_nerves_are_identical():
     golden = _golden()["nerve"]
     for name in FIXED_NAMES:
         assert _nerve_snapshot(name) == golden[name], name
+
+
+def test_annulus_nerve_sends_few_candidates_to_enclosing_balls(monkeypatch):
+    # the facets decide all but 8,532 of the 59,697 candidates
+    seen = []
+    balls = sah.nerve.enclosing_balls
+    monkeypatch.setattr(sah.nerve, "enclosing_balls",
+                        lambda pts: seen.append(len(pts)) or balls(pts))
+    assert _nerve_snapshot("annulus") == _golden()["nerve"]["annulus"]
+    assert sum(seen) <= 10_000
 
 
 def test_certified_two_points_document_is_byte_identical():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sah.nerve
-from conftest import face_closed
+from conftest import face_closed, oracle_cech_nerve
 from sah.errors import ContractViolation
 from sah.homology import boundary_matrix
 from sah.nerve import (MAX_POINTS, Ball, SimplicialComplex, cech_nerve,
@@ -260,6 +260,32 @@ def test_nerve_is_every_subset_that_passes_the_ball_test(cloud):
         if simps:
             expected[dim] = simps
     assert k.simplices == expected
+
+
+@st.composite
+def sphere_clouds(draw):
+    """12-40 random points of S^1 in R^2 or of S^2 in R^3, and a ball
+    radius.  On S^2, radii 0.3-0.8 keep some tetrahedra and refuse others,
+    and some triangles go to enclosing_balls both ways; on S^1, radii above
+    sqrt(3)/2 admit acute triangles, whose minimum ball is the unit circle.
+    Radii stay below 1, so that such circles stay out of the slack band."""
+    dim = draw(st.sampled_from((2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.standard_normal((draw(st.integers(12, 40)), dim))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return pts, draw(st.floats(0.3, 0.8) if dim == 3 else st.floats(0.2, 0.95))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sphere_clouds())
+def test_facet_decisions_match_the_all_subsets_oracle(cloud):
+    pts, eps = cloud
+    expected = oracle_cech_nerve(pts, eps)
+    if expected.boundary_ambiguous:
+        return
+    got = cech_nerve(pts, eps)
+    assert got.simplices == expected.simplices
+    assert not got.boundary_ambiguous
 
 
 def test_nerve_memory_is_not_quadratic():
